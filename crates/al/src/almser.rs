@@ -25,7 +25,6 @@ use morer_graph::mincut::stoer_wagner;
 use morer_graph::Graph;
 use morer_ml::forest::{RandomForest, RandomForestConfig};
 use morer_ml::TrainingSet;
-use rayon::prelude::*;
 
 /// Configuration for [`AlmserAl`].
 #[derive(Debug, Clone)]
@@ -120,7 +119,7 @@ impl AlmserAl {
         // per-component statistics: edge count, density, weak-cut partition
         let comp_ids: Vec<usize> = members.keys().copied().collect();
         let comp_stats: HashMap<usize, (f64, Option<Vec<usize>>)> = comp_ids
-            .par_iter()
+            .iter()
             .map(|&c| {
                 let nodes = &members[&c];
                 if nodes.len() < 2 {
@@ -218,7 +217,6 @@ impl ActiveLearner for AlmserAl {
                 },
             );
             let proba: Vec<f64> = (0..pool.len())
-                .into_par_iter()
                 .map(|row| forest.predict_proba(pool.features.row(row)))
                 .collect();
             let signals = self.analyze_graph(pool, &proba);

@@ -9,7 +9,6 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 use crate::pool::{AlPool, AlResult};
 use crate::uniqueness::UniquenessIndex;
@@ -70,7 +69,6 @@ impl BootstrapAl {
             max_features: None,
         };
         let committee: Vec<DecisionTree> = (0..self.config.committee_size.max(1))
-            .into_par_iter()
             .map(|i| {
                 let mut rng = SmallRng::seed_from_u64(
                     self.config
@@ -83,7 +81,7 @@ impl BootstrapAl {
             })
             .collect();
         unlabeled
-            .par_iter()
+            .iter()
             .map(|&row| {
                 let x = pool.features.row(row);
                 let votes = committee.iter().filter(|t| t.predict(x)).count();

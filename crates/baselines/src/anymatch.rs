@@ -12,7 +12,6 @@
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 use crate::ditto::embed_records;
 use crate::{score_problem, BaselineContext, BaselineRun, ErBaseline};
@@ -106,7 +105,7 @@ impl ErBaseline for AnyMatchSim {
         for p in &ctx.unsolved {
             let predictions: Vec<bool> = p
                 .pairs
-                .par_iter()
+                .iter()
                 .map(|&(a, b)| best.predict(&embedder.pair_features(&embeddings[&a], &embeddings[&b])))
                 .collect();
             score_problem(&mut counts, &predictions, p);

@@ -9,8 +9,6 @@
 
 use std::collections::HashMap;
 
-use rayon::prelude::*;
-
 use crate::{score_problem, BaselineContext, BaselineRun, ErBaseline};
 use morer_embed::serialize::serialize_record;
 use morer_embed::{Embedder, EmbedderConfig};
@@ -73,7 +71,7 @@ pub(crate) fn embed_records(
         &corpus,
     );
     let embeddings: HashMap<u32, Vec<f32>> = uids
-        .par_iter()
+        .iter()
         .zip(&corpus)
         .map(|(&uid, text)| (uid, embedder.embed(text)))
         .collect();
@@ -150,7 +148,7 @@ impl ErBaseline for DittoSim {
         for p in &ctx.unsolved {
             let predictions: Vec<bool> = p
                 .pairs
-                .par_iter()
+                .iter()
                 .map(|&(a, b)| {
                     mlp.predict(&embedder.pair_features(&embeddings[&a], &embeddings[&b]))
                 })

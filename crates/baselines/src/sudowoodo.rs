@@ -13,7 +13,6 @@ use std::collections::HashMap;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 use crate::{score_problem, BaselineContext, BaselineRun, ErBaseline};
 use morer_data::corruption::{corrupt_value, AttributeKind, SourceProfile};
@@ -109,7 +108,7 @@ impl ErBaseline for SudowoodoSim {
             &ContrastiveConfig { seed: ctx.seed, ..self.config.contrastive.clone() },
         );
         let projected: HashMap<u32, Vec<f32>> = uids
-            .par_iter()
+            .iter()
             .zip(&corpus)
             .map(|(&uid, text)| (uid, projection.project(&embedder.embed(text))))
             .collect();
@@ -139,7 +138,7 @@ impl ErBaseline for SudowoodoSim {
         for p in &ctx.unsolved {
             let predictions: Vec<bool> = p
                 .pairs
-                .par_iter()
+                .iter()
                 .map(|&(a, b)| f64::from(cosine(&projected[&a], &projected[&b])) >= threshold)
                 .collect();
             score_problem(&mut counts, &predictions, p);

@@ -13,8 +13,6 @@
 //! ER tasks" (§5.3) — brute-force k-NN over the whole source side, which is
 //! what makes it slow on large benchmarks.
 
-use rayon::prelude::*;
-
 use crate::{score_problem, BaselineContext, BaselineRun, ErBaseline};
 use morer_ml::forest::{RandomForest, RandomForestConfig};
 use morer_ml::metrics::PairCounts;
@@ -69,7 +67,6 @@ impl TransEr {
     fn pseudo_label(&self, source: &TrainingSet, target: &morer_data::ErProblem) -> Vec<PseudoLabel> {
         let k = self.config.k.min(source.len().max(1));
         (0..target.num_pairs())
-            .into_par_iter()
             .filter_map(|row| {
                 let w = target.features.row(row);
                 // brute-force k-NN by squared Euclidean distance

@@ -10,7 +10,6 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 use crate::ditto::{embed_records, oversample_minority, pair_training_set};
 use crate::{score_problem, BaselineContext, BaselineRun, ErBaseline};
@@ -70,7 +69,6 @@ impl ErBaseline for UnicornSim {
 
         // experts on diverse bootstrap shards
         let experts: Vec<LogisticRegression> = (0..self.config.num_experts.max(1))
-            .into_par_iter()
             .map(|e| {
                 let mut rng = SmallRng::seed_from_u64(ctx.seed ^ (e as u64) << 8);
                 let shard = bootstrap_sample(&training, &mut rng);
@@ -90,7 +88,7 @@ impl ErBaseline for UnicornSim {
         for p in &ctx.unsolved {
             let predictions: Vec<bool> = p
                 .pairs
-                .par_iter()
+                .iter()
                 .map(|&(a, b)| {
                     let features = embedder.pair_features(&embeddings[&a], &embeddings[&b]);
                     let meta: Vec<f64> =

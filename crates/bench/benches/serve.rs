@@ -2,11 +2,9 @@
 //! in-process read path it wraps: what does serving a solve over loopback
 //! HTTP/1.1 + JSON cost on top of `ModelSearcher::solve`?
 //!
-//! `cargo run -p morer-bench --release -- quick-bench` prints the matching
-//! trajectory numbers (`serve_requests_per_s`, 4 concurrent connections;
-//! `serve_reactor_requests_per_s`, the same load with 1024 idle
-//! connections parked) after asserting served responses bit-identical to
-//! in-process solves.
+//! End-to-end serving speed is measured by `perfbench` (the `serve-read`
+//! workload); served responses are pinned bit-identical to in-process
+//! solves by `morer-serve`'s `cross_backend_solves_are_bit_identical` test.
 //!
 //! The `high_concurrency` group (ISSUE 9) measures what parked idle
 //! keep-alive connections cost each backend: the reactor serves solves at

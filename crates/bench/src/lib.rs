@@ -1,5 +1,6 @@
-//! Shared benchmark support for the `morer-bench` binary and the criterion
-//! benches: reproducible workload generators.
+//! Shared support for the `repro` binary, the criterion benches, `perfbench`
+//! and the workspace tests: reproducible workload generators and the seed
+//! featurization oracle.
 
 pub mod seed_reference;
 pub mod workload;

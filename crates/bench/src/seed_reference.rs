@@ -1,14 +1,15 @@
 //! Verbatim copies of the **seed** similarity implementations (commit
-//! 3b2e080), used only by `quick-bench` as the "seed per-pair path"
-//! baseline the profiling speedup is measured against.
+//! 3b2e080): the "seed per-pair path" kept as a test oracle for the
+//! profiled featurization path.
 //!
 //! These keep the seed's redundancies on purpose: `levenshtein_sim`
 //! normalizes its inputs and `levenshtein_distance` normalizes them again,
 //! `jaro_winkler` re-normalizes for the prefix, and every token coefficient
 //! re-runs `words()` + `token_set()` per call. Do not "fix" them — their
 //! waste *is* the baseline. The satellite cleanups in `morer_sim` preserve
-//! these functions' outputs bit-for-bit (asserted in `quick_bench`), they
-//! only remove the recomputation.
+//! these functions' outputs bit-for-bit (asserted by the workspace test
+//! `seed_reference_matches_profiled_featurization`), they only remove the
+//! recomputation.
 
 #![allow(dead_code)]
 

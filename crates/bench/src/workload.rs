@@ -1,10 +1,11 @@
-//! Reproducible featurization workloads.
+//! Reproducible benchmark and test workloads.
 //!
-//! The `featurization` criterion bench and the `quick-bench` trajectory mode
-//! both measure the same thing: pairs/second through `ErProblem` feature
-//! generation on a product-catalog-shaped two-source dataset. This module
-//! builds that workload deterministically so numbers are comparable across
-//! runs and machines.
+//! Deterministic generators for the product-catalog featurization dataset,
+//! distribution-analysis problem sets and repository-scale entry sets. The
+//! workspace tests use them as fixed oracle inputs (the seed-reference
+//! featurization check), and the `serve` bench, `perfbench` and the
+//! `repository_search_scale` example build their repositories from them, so
+//! numbers are comparable across runs and machines.
 
 use morer_core::repository::ClusterEntry;
 use morer_data::record::{DataSource, MultiSourceDataset, Record, Schema};
@@ -143,8 +144,7 @@ pub fn featurization_workload(
 /// distribution families (distinct per-problem match/non-match locations)
 /// so the resulting problem graph has real cluster structure.
 ///
-/// The `analysis` criterion bench and the `quick-bench` trajectory mode
-/// both run the O(P²) graph build and the model search over this workload.
+/// The `serve` bench builds its served repository from this workload.
 pub fn analysis_workload(
     n_problems: usize,
     rows: usize,
@@ -193,8 +193,8 @@ pub fn analysis_workload(
 /// jitter in match/non-match locations, spread and match rate — a much
 /// wider spread than [`analysis_workload`] so the coarse signatures of
 /// [`morer_core::index`] actually separate the entries. This is the scale
-/// knob behind the `search_index` bench and the indexed-search section of
-/// `quick-bench` (≥500-entry repositories).
+/// knob behind `perfbench`'s `serve-read` repository and the
+/// `repository_search_scale` example (≥500-entry repositories).
 pub fn repository_problems(
     n_problems: usize,
     rows: usize,

@@ -148,7 +148,7 @@ impl AnalysisOptions {
     /// The options used to score repository entry `i` during model search:
     /// a per-entry seed that is stable across solves, so entry sketch
     /// caches stay warm. Shared by `best_entry_for` and its direct-path
-    /// cross-checks (quick-bench, property tests).
+    /// cross-checks (`crates/core/tests/sketch_properties.rs`).
     pub fn for_entry(&self, i: usize) -> Self {
         Self { seed: self.seed ^ (i as u64) << 12, ..*self }
     }
@@ -473,7 +473,7 @@ pub fn build_problem_graph_sketched(
 /// seed convention, and edges are appended in the same adjacency order the
 /// batch pair loop produces, so extending an empty graph problem by problem
 /// yields a graph **bit-identical** to [`build_problem_graph_sketched`] over
-/// the full list (asserted by `crates/core/tests/ingest.rs` and quick-bench).
+/// the full list (asserted by `crates/core/tests/ingest.rs`).
 ///
 /// Returns the number of edges added (those with `sim_p >=
 /// min_edge_similarity`).
@@ -517,8 +517,7 @@ pub fn extend_problem_graph_sketched(
 
 /// The retained direct (sketch-free) graph build: every pair re-extracts,
 /// re-subsamples and re-sorts both sides via [`problem_similarity_with`].
-/// Reference implementation for the equivalence assertions and the
-/// `analysis` benchmark baseline.
+/// Reference implementation for the equivalence assertions.
 pub fn build_problem_graph_direct(
     problems: &[&ErProblem],
     opts: &AnalysisOptions,

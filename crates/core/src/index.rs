@@ -7,7 +7,7 @@
 //! but drives it through provable *upper bounds*, so only a shortlist of
 //! entries is ever exactly scored while the returned hit stays
 //! **bit-identical** to the exhaustive search (recall-1; pinned by
-//! `crates/core/tests/index_properties.rs` and quick-bench).
+//! `crates/core/tests/index_properties.rs`).
 //!
 //! # Level 1 — coarse per-column signatures
 //!

@@ -14,8 +14,7 @@
 //! is a pure function of the query — N threads sharing one searcher produce
 //! bit-identical outcomes to a sequential loop, whether the entry sketch
 //! caches are cold or pre-warmed ([`ModelSearcher::warm`]). This is pinned
-//! by `crates/core/tests/service_api.rs` and asserted on every quick-bench
-//! run.
+//! by `crates/core/tests/service_api.rs`.
 //!
 //! Writers that keep ingesting while readers search should hand out
 //! [`crate::pipeline::Morer::snapshot`] handles: each is an

@@ -242,7 +242,7 @@ pub struct CommitRecord {
 }
 
 /// Observability snapshot of an attached log (`/healthz` and `/stats`
-/// report this; `repro quick-bench` asserts against it).
+/// report this).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DurabilityState {
     /// Epoch of the last record fully appended to the log (synced when
@@ -473,6 +473,10 @@ impl Wal {
             }
         }
 
+        // a torn header discards the whole file; otherwise only the tail
+        // past the last valid frame
+        let truncated_bytes =
+            if valid_end < HEADER_LEN { file_len } else { file_len - valid_end };
         let mut log = OpenOptions::new().create(true).write(true).open(&log_path)?;
         if valid_end < HEADER_LEN {
             // empty or torn-header log: start it fresh
@@ -503,7 +507,7 @@ impl Wal {
             repository,
             epoch,
             replayed,
-            truncated_bytes: file_len.saturating_sub(valid_end.min(file_len)),
+            truncated_bytes,
         })
     }
 
@@ -845,6 +849,26 @@ mod tests {
         assert_eq!(recovered.repository.entries.len(), 2);
         assert_eq!(recovered.repository.entries[1], sample_entry(1));
         assert_eq!(recovered.wal.state().log_bytes, state.log_bytes);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn torn_header_counts_every_discarded_byte() {
+        let dir = tmp("torn_header");
+        let mut wal =
+            Wal::create(&dir, WalOptions::default(), &ModelRepository::default(), 0).unwrap();
+        wal.append(&record(1, &[0], 1)).unwrap();
+        drop(wal);
+        // a crash mid-header leaves 5 of the 12 header bytes behind
+        let log_path = dir.join(LOG_FILE);
+        let torn = std::fs::read(&log_path).unwrap()[..5].to_vec();
+        std::fs::write(&log_path, torn).unwrap();
+
+        let recovered = Wal::open(&dir, WalOptions::default()).unwrap();
+        assert_eq!(recovered.truncated_bytes, 5);
+        assert_eq!(recovered.epoch, 0);
+        assert_eq!(recovered.wal.state().log_bytes, HEADER_LEN);
+        assert_eq!(std::fs::metadata(&log_path).unwrap().len(), HEADER_LEN);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -109,7 +109,7 @@ impl ErProblem {
 
     /// The original per-pair string path: re-normalizes and re-tokenizes both
     /// records of every pair. Kept as the reference implementation for the
-    /// equivalence property tests and the `featurization` benchmark baseline.
+    /// equivalence property tests.
     pub fn build_cold(
         id: ProblemId,
         dataset: &MultiSourceDataset,

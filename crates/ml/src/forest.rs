@@ -6,7 +6,6 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::TrainingSet;
@@ -50,8 +49,10 @@ pub(crate) fn splitmix(seed: u64, stream: u64) -> u64 {
 }
 
 impl RandomForest {
-    /// Train `n_trees` trees in parallel, each on a bootstrap resample with
-    /// feature subsampling.
+    /// Train `n_trees` trees one after another, each on a bootstrap resample
+    /// with feature subsampling. Tree `i` draws from its own
+    /// `splitmix(seed, i)` stream, so the forest does not depend on the
+    /// order in which trees are trained.
     pub fn fit(data: &TrainingSet, config: &RandomForestConfig) -> Self {
         let max_features = config
             .max_features
@@ -63,7 +64,6 @@ impl RandomForest {
             max_features: Some(max_features.min(data.num_features().max(1))),
         };
         let trees: Vec<DecisionTree> = (0..config.n_trees.max(1))
-            .into_par_iter()
             .map(|i| {
                 let mut rng = SmallRng::seed_from_u64(splitmix(config.seed, i as u64));
                 let sample = bootstrap_sample(data, &mut rng);

@@ -1,13 +1,13 @@
 //! # morer-ml — machine-learning substrate for MoRER
 //!
-//! A small, dependency-free (beyond `rand`/`rayon`) reimplementation of the
+//! A small, dependency-free (beyond `rand`/`serde`) reimplementation of the
 //! scikit-learn functionality the paper's pipeline uses:
 //!
 //! * [`FeatureMatrix`] / [`TrainingSet`]: dense row-major data with binary
 //!   match labels;
 //! * [`tree::DecisionTree`]: CART with Gini impurity;
 //! * [`forest::RandomForest`]: bagged trees with feature subsampling
-//!   (the default ER classifier, trained in parallel with rayon);
+//!   (the default ER classifier, trained tree by tree on one core);
 //! * [`linear::LogisticRegression`]: full-batch gradient descent with L2;
 //! * [`naive_bayes::GaussianNb`]: Gaussian naive Bayes;
 //! * [`mlp::Mlp`]: one-hidden-layer perceptron (backbone of the

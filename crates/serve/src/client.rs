@@ -1,5 +1,5 @@
 //! A tiny blocking HTTP/1.1 client for the loopback use cases that ship
-//! with the repo: integration tests, the `serve` benchmarks, quick-bench,
+//! with the repo: integration tests, the `serve` benchmarks, `perfbench`,
 //! `examples/serve_demo.rs` — and the log-shipping follower
 //! ([`crate::replica::Replica`]), which is why responses are also
 //! available in raw binary form with headers, and why reads can carry a

@@ -168,8 +168,8 @@
 //! concurrent commit. `/solve` responses are bit-identical to in-process
 //! [`morer_core::searcher::ModelSearcher::solve`] calls on the same epoch —
 //! the vendored `serde_json` round-trips every `f64` exactly — which the
-//! loopback tests in `tests/` and every `quick-bench` run assert before any
-//! throughput number is reported.
+//! loopback tests in `tests/` assert (`cross_backend_solves_are_bit_identical`)
+//! and `perfbench` re-checks before any throughput number is reported.
 
 pub mod client;
 pub mod config;

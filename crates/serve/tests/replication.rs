@@ -153,6 +153,15 @@ fn follower_catches_up_bit_identically_and_serves_read_only() {
     assert_eq!(env.error.kind, "read_only");
     follower.shutdown();
     leader.shutdown();
+
+    // the leader's WAL, reopened cold, recovers the twin's exact state
+    let recovered = Morer::open_with(&dir, &config(), WalOptions::default()).unwrap();
+    assert_eq!(recovered.epoch(), twin.epoch());
+    assert_eq!(
+        canonical_bytes(&recovered.searcher().repository()),
+        expected,
+        "recovered served WAL must be bit-identical to the in-process twin"
+    );
 }
 
 /// Kill-leader acceptance: the follower degrades to stale-but-consistent

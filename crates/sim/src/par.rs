@@ -1,10 +1,10 @@
 //! Minimal data-parallel helpers built on scoped `std::thread`.
 //!
-//! The vendored `rayon` stand-in is sequential (see `crates/vendor/README.md`),
-//! so the featurization hot path uses these helpers directly: they give real
-//! multi-core speedups on machines that have the cores, degrade to plain
-//! loops on single-core machines, and keep the speed-critical code
-//! independent of which rayon is linked.
+//! The workspace's only parallelism primitive (there is no rayon): the
+//! featurization hot path and the distribution analysis use these helpers
+//! directly. They give real multi-core speedups on machines that have the
+//! cores and degrade to plain loops on single-core machines. Model training
+//! (forests, AL committees, baselines) stays sequential.
 
 use std::num::NonZeroUsize;
 
@@ -62,8 +62,7 @@ where
 ///
 /// Falls back to a plain sequential map when only one thread is profitable,
 /// so single-core machines pay no overhead. Used by the distribution
-/// analysis to fan the O(P²) problem-pair loop out over cores (the vendored
-/// rayon stand-in is sequential — see `crates/vendor/README.md`).
+/// analysis to fan the O(P²) problem-pair loop out over cores.
 pub fn map_indexed<T, F>(n: usize, min_chunk: usize, f: F) -> Vec<T>
 where
     T: Send,

@@ -120,3 +120,23 @@ proptest! {
         prop_assert!(f1 <= p.max(r) + 1e-12);
     }
 }
+
+// ---------------- featurization oracle -------------------------------------
+
+/// The profiled `ErProblem::build` must reproduce the verbatim seed per-pair
+/// string path (`morer_bench::seed_reference`) bit-for-bit on the product
+/// featurization workload, which mixes token, edit-distance, q-gram and
+/// numeric comparators.
+#[test]
+fn seed_reference_matches_profiled_featurization() {
+    use morer::data::ErProblem;
+    use morer_bench::seed_reference::seed_build_features;
+    use morer_bench::workload::featurization_workload;
+
+    let workload = featurization_workload(500, 5_000, 42);
+    let seed = seed_build_features(&workload.dataset, &workload.scheme, &workload.pairs);
+    let profiled =
+        ErProblem::build(0, &workload.dataset, &workload.scheme, (0, 1), workload.pairs.clone());
+    assert_eq!(profiled.features.rows(), workload.pairs.len());
+    assert_eq!(seed, profiled.features, "seed reference diverged from the profiled path");
+}
