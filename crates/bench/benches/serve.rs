@@ -4,20 +4,14 @@
 //!
 //! End-to-end serving speed is measured by `perfbench` (the `serve-read`
 //! workload); served responses are pinned bit-identical to in-process
-//! solves by `morer-serve`'s `cross_backend_solves_are_bit_identical` test.
+//! solves by `morer-serve`'s `served_solves_are_bit_identical_to_in_process`
+//! test.
 //!
-//! The `high_concurrency` group (ISSUE 9) measures what parked idle
-//! keep-alive connections cost each backend: the reactor serves solves at
-//! {0, 256, 1024, 4096} parked connections (its slab + timer queue are
-//! the only per-connection cost), while the threaded pool is measured at
-//! 0 parked plus a *bounded stall probe* — with every worker pinned by an
-//! idle connection a solve cannot be answered until a reap frees a
-//! worker, and connections beyond the listener backlog (~128) cannot even
-//! be accepted, so a {256, 1024, 4096} threaded series is physically
-//! unmeasurable. The probe caps the wait at 2 s and reports the cap.
+//! The `high_concurrency` group measures what parked idle keep-alive
+//! connections cost the reactor: solves at {0, 256, 1024, 4096} parked
+//! connections (its slab + timer queue are the only per-connection cost).
 
 use std::net::TcpStream;
-use std::time::Duration;
 
 use criterion::{
     black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput,
@@ -29,7 +23,7 @@ use morer_core::pipeline::Morer;
 use morer_core::searcher::SolveOutcome;
 use morer_data::ErProblem;
 use morer_ml::model::ModelConfig;
-use morer_serve::{Connection, MorerServer, ServeBackend, ServeConfig};
+use morer_serve::{Connection, MorerServer, ServeConfig};
 
 fn serve_pipeline() -> (Morer, Vec<ErProblem>) {
     let problems = analysis_workload(24, 800, 6, 42);
@@ -107,8 +101,8 @@ fn bench_serve(c: &mut Criterion) {
 }
 
 /// Solve throughput with idle keep-alive connections parked: the scenario
-/// the reactor backend exists for. Parked connections never send a byte;
-/// they only hold a connection slot and an idle timer.
+/// the reactor exists for. Parked connections never send a byte; they only
+/// hold a connection slot and an idle timer.
 fn bench_high_concurrency(c: &mut Criterion) {
     let (morer, queries) = serve_pipeline();
     let searcher = morer.searcher().clone();
@@ -118,86 +112,36 @@ fn bench_high_concurrency(c: &mut Criterion) {
     let mut group = c.benchmark_group("high_concurrency");
     group.throughput(Throughput::Elements(1));
 
-    // reactor: steady-state solve round trips while {0,256,1024,4096}
-    // idle connections sit parked (default 30 s idle deadline — none are
-    // reaped during the measurement, so the throughput provably does not
-    // come from disconnecting them)
-    if cfg!(target_os = "linux") {
-        for n_idle in [0usize, 256, 1024, 4096] {
-            let cfg = ServeConfig { backend: ServeBackend::Reactor, ..ServeConfig::default() };
-            let handle = MorerServer::start(morer.clone(), &cfg).expect("start reactor");
-            let addr = handle.addr();
-            let parked: Vec<TcpStream> = (0..n_idle)
-                .map(|_| TcpStream::connect(addr).expect("park idle connection"))
-                .collect();
-            let mut conn = Connection::open(addr).expect("connect");
-            // correctness guard: parked or not, served == in-process
-            let res = conn.post("/solve", &body).expect("solve");
-            assert_eq!(res.status, 200, "{}", res.body);
-            let served: SolveOutcome = res.json().expect("decode outcome");
-            assert_eq!(served, searcher.solve(&queries[0]), "served solve diverged");
-            group.bench_with_input(
-                BenchmarkId::new("reactor_solve", format!("{n_idle}_idle")),
-                &n_idle,
-                |b, _| {
-                    b.iter(|| {
-                        let res = conn.post("/solve", &body).expect("solve");
-                        black_box(res.body.len());
-                    })
-                },
-            );
-            drop(parked);
-            handle.shutdown();
-        }
+    // steady-state solve round trips while {0,256,1024,4096} idle
+    // connections sit parked (default 30 s idle deadline — none are reaped
+    // during the measurement, so the throughput provably does not come
+    // from disconnecting them)
+    for n_idle in [0usize, 256, 1024, 4096] {
+        let handle =
+            MorerServer::start(morer.clone(), &ServeConfig::default()).expect("start server");
+        let addr = handle.addr();
+        let parked: Vec<TcpStream> = (0..n_idle)
+            .map(|_| TcpStream::connect(addr).expect("park idle connection"))
+            .collect();
+        let mut conn = Connection::open(addr).expect("connect");
+        // correctness guard: parked or not, served == in-process
+        let res = conn.post("/solve", &body).expect("solve");
+        assert_eq!(res.status, 200, "{}", res.body);
+        let served: SolveOutcome = res.json().expect("decode outcome");
+        assert_eq!(served, searcher.solve(&queries[0]), "served solve diverged");
+        group.bench_with_input(
+            BenchmarkId::new("reactor_solve", format!("{n_idle}_idle")),
+            &n_idle,
+            |b, _| {
+                b.iter(|| {
+                    let res = conn.post("/solve", &body).expect("solve");
+                    black_box(res.body.len());
+                })
+            },
+        );
+        drop(parked);
+        handle.shutdown();
     }
-
-    // threaded baseline at zero parked connections…
-    let cfg = ServeConfig {
-        backend: ServeBackend::Threaded,
-        workers: 4,
-        ..ServeConfig::default()
-    };
-    let handle = MorerServer::start(morer.clone(), &cfg).expect("start threaded");
-    let mut conn = Connection::open(handle.addr()).expect("connect");
-    group.bench_with_input(BenchmarkId::new("threaded_solve", "0_idle"), &0usize, |b, _| {
-        b.iter(|| {
-            let res = conn.post("/solve", &body).expect("solve");
-            black_box(res.body.len());
-        })
-    });
-    drop(conn);
-    handle.shutdown();
-
-    // …and the stall probe: 64 parked connections pin all 4 workers, so a
-    // solve cannot be served until an idle reap (30 s away) — the client
-    // gives up at 2 s and the reported time is that cap. A fresh server is
-    // set up per measurement (setup time excluded).
-    group.measurement_time(Duration::from_secs(2));
-    group.bench_with_input(
-        BenchmarkId::new("threaded_solve", "64_idle_capped_2s"),
-        &64usize,
-        |b, &n_idle| {
-            b.iter_batched(
-                || {
-                    let handle = MorerServer::start(morer.clone(), &cfg).expect("start threaded");
-                    let addr = handle.addr();
-                    let parked: Vec<TcpStream> = (0..n_idle)
-                        .map(|_| TcpStream::connect(addr).expect("park idle connection"))
-                        .collect();
-                    (handle, parked)
-                },
-                |(handle, parked)| {
-                    let stalled = Connection::open_timeout(handle.addr(), Duration::from_secs(2))
-                        .and_then(|mut conn| conn.post("/solve", &body))
-                        .is_err();
-                    assert!(stalled, "a fully pinned pool answered a solve without reaping");
-                    drop(parked);
-                    handle.shutdown();
-                },
-                criterion::BatchSize::PerIteration,
-            )
-        },
-    );
     group.finish();
 }
 

@@ -1,18 +1,19 @@
 //! A minimal hand-rolled HTTP/1.1 layer: just enough of RFC 9112 for a
 //! loopback JSON service — request parsing with size limits, keep-alive,
 //! and fixed-length responses. No chunked transfer encoding, no TLS, no
-//! pipelining on the server side (each request is answered before the next
-//! is read; bytes read past the current request are carried over).
+//! concurrent pipelining (each request is answered before the next is
+//! parsed; bytes received past the current request stay buffered for it).
 //!
 //! Parsing is a *resumable continuation* ([`RequestParser`]): a pure
 //! function of the bytes accumulated so far that either yields a complete
-//! [`Request`] or asks for more. The blocking transport ([`read_request`],
-//! used by the threaded backend and shared with the loopback client's
-//! accumulation cores) and the non-blocking reactor transport (the
-//! `reactor` module) drive the *same* parser, so request framing cannot
-//! drift between backends.
+//! [`Request`] or asks for more. The reactor's per-connection state
+//! machines feed it whatever the socket delivered; how the bytes were
+//! split across reads never changes the result (property-tested below).
+//! Responses are encoded into byte buffers ([`encode_response_with`]) that
+//! the reactor drains as the socket accepts them. The blocking read cores
+//! (`fill_until`, `fill_exact`) serve the loopback client.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Read};
 
 /// The interim response sent when a client declares `Expect: 100-continue`
 /// and the body has not arrived yet (curl does this for bodies over 1 KB
@@ -30,7 +31,7 @@ pub enum Method {
 }
 
 /// One parsed HTTP request.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Request method.
     pub method: Method,
@@ -44,17 +45,12 @@ pub struct Request {
     pub keep_alive: bool,
 }
 
-/// Why a request could not be read. Distinguishes protocol errors (which
-/// get an HTTP error response) from connection lifecycle events (which
-/// just end the connection).
-#[derive(Debug)]
+/// Why the received bytes are not a servable request. Each variant maps to
+/// an HTTP error response, after which the connection closes.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RequestError {
-    /// The peer closed (or shutdown was requested) before a request
-    /// started — the normal end of a keep-alive connection.
-    Closed,
-    /// The connection failed mid-request.
-    Io(std::io::Error),
-    /// The request head was malformed or unsupported → `400`.
+    /// The request was malformed, unsupported, or cut off by the peer's
+    /// EOF → `400`.
     Bad(String),
     /// The declared body exceeds the configured cap → `413`. The body was
     /// not read; the connection must be closed after responding.
@@ -87,9 +83,8 @@ pub(crate) enum Fill<T> {
 
 /// Read chunks from `stream` into `buf` until `done(buf)` yields a value.
 /// `on_timeout` runs on every read-timeout tick (`WouldBlock`/`TimedOut`);
-/// returning `true` abandons the read. Shared by the server's request
-/// reader and the loopback client's response reader so the accumulation
-/// and retry semantics cannot drift apart.
+/// returning `true` abandons the read. The loopback client's response
+/// reader is built on this and [`fill_exact`].
 pub(crate) fn fill_until<T>(
     stream: &mut impl Read,
     buf: &mut Vec<u8>,
@@ -180,8 +175,8 @@ pub enum ParseStatus {
     /// The buffer does not hold a complete request yet — read more bytes
     /// and call [`RequestParser::advance`] again. When `send_continue` is
     /// set the client declared `Expect: 100-continue` and is holding the
-    /// body back: write [`CONTINUE`] (via [`write_continue`]) before the
-    /// next read. The flag fires exactly once per request.
+    /// body back: write the interim `HTTP/1.1 100 Continue` response
+    /// before the next read. The flag fires at most once per request.
     NeedMore {
         /// Write the interim `100 Continue` response before reading on.
         send_continue: bool,
@@ -200,10 +195,8 @@ pub enum ParseStatus {
 /// A resumable HTTP/1.1 request parser: feed it the connection's
 /// accumulated byte buffer as often as you like ([`RequestParser::advance`]
 /// is a pure function of that buffer plus the parser's continuation state)
-/// and it yields a [`Request`] once the bytes are complete. Both the
-/// blocking transport ([`read_request`]) and the reactor's per-connection
-/// state machines drive this parser, so framing is identical by
-/// construction.
+/// and it yields a [`Request`] once the bytes are complete, whatever the
+/// split of those bytes across calls.
 #[derive(Debug, Default)]
 pub struct RequestParser {
     head: Option<ParsedHead>,
@@ -216,28 +209,33 @@ impl RequestParser {
         Self::default()
     }
 
-    /// Whether any part of a request head has been parsed — distinguishes
-    /// "peer closed between requests" (a clean keep-alive end) from "peer
-    /// closed mid-request" when EOF arrives. (An empty buffer with no
-    /// parsed head is the clean case.)
-    pub fn mid_body(&self) -> bool {
-        self.head.is_some()
-    }
-
-    /// The byte offset the buffer must reach for the current request to be
-    /// complete, once the head is parsed (lets a blocking caller read the
-    /// remaining body straight into the final buffer).
-    pub fn body_target(&self) -> Option<usize> {
-        self.head.as_ref().map(|h| h.body_end)
+    /// Classify the peer's EOF, given the `unconsumed` buffered bytes that
+    /// [`RequestParser::advance`] last answered `NeedMore` for: `Ok` when
+    /// nothing of a request had arrived (the clean end of a keep-alive
+    /// connection), otherwise the `400` the truncated request earns —
+    /// "connection closed mid-body" once the head is parsed, "connection
+    /// closed mid-request" before that.
+    ///
+    /// # Errors
+    /// [`RequestError::Bad`] for a truncated request.
+    pub fn eof(&self, unconsumed: &[u8]) -> Result<(), RequestError> {
+        if self.head.is_some() {
+            Err(RequestError::Bad("connection closed mid-body".into()))
+        } else if unconsumed.is_empty() {
+            Ok(())
+        } else {
+            Err(RequestError::Bad("connection closed mid-request".into()))
+        }
     }
 
     /// Inspect `buf` (the bytes received so far on this connection) and
     /// either yield a complete request or ask for more bytes.
     ///
     /// # Errors
-    /// [`RequestError::Bad`] / [`RequestError::TooLarge`] exactly as
-    /// [`read_request`] reports them; the parser is not usable for this
-    /// connection afterwards (protocol errors close the connection).
+    /// [`RequestError::Bad`] for a malformed head (including one longer
+    /// than [`Limits::max_header_bytes`]), [`RequestError::TooLarge`] for
+    /// a declared body over [`Limits::max_body_bytes`]. The parser is not
+    /// usable for this connection afterwards (protocol errors close it).
     pub fn advance(&mut self, buf: &[u8], limits: &Limits) -> Result<ParseStatus, RequestError> {
         if self.head.is_none() {
             let max_head = limits.max_header_bytes;
@@ -248,7 +246,11 @@ impl RequestParser {
                         "request head exceeds {max_head} bytes"
                     )))
                 }
-                None if buf.len() > max_head => {
+                // a terminator starting at or before `max_head` may still
+                // be completing in the last three bytes: only past that
+                // is the head provably too long (so the verdict does not
+                // depend on how the bytes were split across reads)
+                None if buf.len() > max_head + 3 => {
                     return Err(RequestError::Bad(format!(
                         "request head exceeds {max_head} bytes"
                     )))
@@ -373,113 +375,17 @@ fn parse_head(head: &[u8], head_end: usize, limits: &Limits) -> Result<ParsedHea
     })
 }
 
-/// Write the interim `100 Continue` response (the reactor calls this when
-/// [`ParseStatus::NeedMore`] carries `send_continue`; [`read_request`]
-/// handles it internally).
-pub fn write_continue(stream: &mut impl Write) -> std::io::Result<()> {
-    stream.write_all(CONTINUE)?;
-    stream.flush()
-}
-
-/// Read one request from `stream` (writes only the interim
-/// `100 Continue` line when the client expects one).
-///
-/// `carry` holds bytes already read past the previous request on this
-/// connection; leftover bytes beyond this request are left in it. Reads
-/// use the stream's configured read timeout as a poll granularity: on
-/// every timeout tick `abort()` is consulted — returning `true` (server
-/// shutdown, or the caller's idle/receive deadline expired) abandons the
-/// connection as [`RequestError::Closed`], so an idle or byte-trickling
-/// client cannot pin a worker forever.
-pub fn read_request<S: Read + Write>(
-    stream: &mut S,
-    carry: &mut Vec<u8>,
-    limits: &Limits,
-    abort: impl Fn() -> bool,
-) -> Result<Request, RequestError> {
-    let mut buf = std::mem::take(carry);
-    let mut parser = RequestParser::new();
-    loop {
-        match parser.advance(&buf, limits)? {
-            ParseStatus::Ready { request, consumed } => {
-                *carry = buf.split_off(consumed);
-                return Ok(request);
-            }
-            ParseStatus::NeedMore { send_continue } => {
-                if send_continue {
-                    write_continue(stream).map_err(RequestError::Io)?;
-                }
-            }
-        }
-        // with the head parsed the body length is known: read straight into
-        // the final buffer; before that, accumulate until the terminator
-        let fill = match parser.body_target() {
-            Some(target) => fill_exact(stream, &mut buf, target, &abort),
-            None => fill_until(
-                stream,
-                &mut buf,
-                |b| if find_head_end(b).is_some() || b.len() > limits.max_header_bytes {
-                    Some(())
-                } else {
-                    None
-                },
-                &abort,
-            )
-            .map(|f| match f {
-                Fill::Done(()) => Fill::Done(()),
-                Fill::Eof => Fill::Eof,
-                Fill::Aborted => Fill::Aborted,
-            }),
-        };
-        match fill.map_err(RequestError::Io)? {
-            Fill::Done(()) => {}
-            Fill::Eof if buf.is_empty() && !parser.mid_body() => {
-                return Err(RequestError::Closed)
-            }
-            Fill::Eof if parser.mid_body() => {
-                return Err(RequestError::Bad("connection closed mid-body".into()))
-            }
-            Fill::Eof => return Err(RequestError::Bad("connection closed mid-request".into())),
-            Fill::Aborted => return Err(RequestError::Closed),
-        }
-    }
-}
-
 /// Index of the `\r\n\r\n` head terminator, if present.
 pub(crate) fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// Write one fixed-length JSON response.
-pub fn write_response(
-    stream: &mut impl Write,
-    status: u16,
-    body: &[u8],
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    write_response_with(stream, status, "application/json", &[], body, keep_alive)
-}
-
-/// Write one fixed-length response with an explicit content type and extra
-/// headers (the log-shipping endpoints answer raw frame bytes with
+/// Encode one fixed-length response with an explicit content type and
+/// extra headers (the log-shipping endpoints answer raw frame bytes with
 /// `application/octet-stream` plus offset/generation metadata headers).
-pub fn write_response_with(
-    stream: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    extra_headers: &[(String, String)],
-    body: &[u8],
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    let bytes = encode_response_with(status, content_type, extra_headers, body, keep_alive);
-    stream.write_all(&bytes)?;
-    stream.flush()
-}
-
-/// Encode one fixed-length response into a byte buffer without writing it
-/// anywhere — the reactor queues these bytes on the connection's write
-/// buffer and drains them as the socket reports writability (partial
-/// writes resume where they left off).
+/// The reactor queues these bytes on the connection's write buffer and
+/// drains them as the socket reports writability (partial writes resume
+/// where they left off).
 pub fn encode_response_with(
     status: u16,
     content_type: &str,
@@ -525,69 +431,71 @@ pub fn reason(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+    use proptest::prelude::*;
 
     fn limits() -> Limits {
         Limits { max_header_bytes: 1024, max_body_bytes: 64 }
     }
 
-    /// A readable script plus a capture of everything the parser writes
-    /// back (the `100 Continue` interim response).
-    struct Duplex {
-        input: Cursor<Vec<u8>>,
-        output: Vec<u8>,
+    /// Parse `raw` handed over in one piece: the first request and the
+    /// bytes it consumed.
+    fn parse(raw: &[u8]) -> Result<(Request, usize), RequestError> {
+        parse_with(raw, &limits())
     }
 
-    impl Duplex {
-        fn new(raw: &[u8]) -> Self {
-            Self { input: Cursor::new(raw.to_vec()), output: Vec::new() }
+    fn parse_with(raw: &[u8], limits: &Limits) -> Result<(Request, usize), RequestError> {
+        match RequestParser::new().advance(raw, limits)? {
+            ParseStatus::Ready { request, consumed } => Ok((request, consumed)),
+            other => panic!("expected Ready on {} bytes, got {other:?}", raw.len()),
         }
     }
 
-    impl Read for Duplex {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            self.input.read(buf)
-        }
+    fn request(raw: &[u8]) -> Request {
+        parse(raw).expect("well-formed request").0
     }
 
-    impl Write for Duplex {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.output.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
+    /// What a connection saw after receiving `raw` in chunks ending at
+    /// `cuts` (then the rest): every request it parsed with the bytes each
+    /// consumed, the `100 Continue` signals of each, and the protocol
+    /// error that ended it, if any.
+    #[derive(Debug, PartialEq)]
+    struct Session {
+        requests: Vec<(Request, usize, usize)>,
+        error: Option<RequestError>,
     }
 
-    fn read(raw: &[u8]) -> Result<Request, RequestError> {
-        read_request(&mut Duplex::new(raw), &mut Vec::new(), &limits(), || false)
-    }
-
-    /// Feed a raw request to [`RequestParser`] one byte at a time and
-    /// return the request plus how many bytes it consumed — the reactor's
-    /// drip-fed view of the same bytes the blocking path reads at once.
-    fn parse_incremental(raw: &[u8]) -> Result<(Request, usize), RequestError> {
+    /// Drive one parser over `raw` the way the reactor does: append each
+    /// chunk to the connection buffer, then advance until it asks for
+    /// more, draining every consumed request.
+    fn session(raw: &[u8], cuts: &[usize], limits: &Limits) -> Session {
         let mut parser = RequestParser::new();
+        let mut buf = Vec::new();
+        let mut requests = Vec::new();
         let mut continues = 0usize;
-        for end in 0..=raw.len() {
-            match parser.advance(&raw[..end], &limits())? {
-                ParseStatus::Ready { request, consumed } => {
-                    assert!(continues <= 1, "100-continue must be signalled at most once");
-                    return Ok((request, consumed));
-                }
-                ParseStatus::NeedMore { send_continue } => {
-                    if send_continue {
-                        continues += 1;
+        let mut fed = 0;
+        for &cut in cuts.iter().chain(std::iter::once(&raw.len())) {
+            let cut = cut.clamp(fed, raw.len());
+            buf.extend_from_slice(&raw[fed..cut]);
+            fed = cut;
+            loop {
+                match parser.advance(&buf, limits) {
+                    Ok(ParseStatus::Ready { request, consumed }) => {
+                        buf.drain(..consumed);
+                        requests.push((request, consumed, std::mem::take(&mut continues)));
                     }
+                    Ok(ParseStatus::NeedMore { send_continue }) => {
+                        continues += usize::from(send_continue);
+                        break;
+                    }
+                    Err(error) => return Session { requests, error: Some(error) },
                 }
             }
         }
-        panic!("parser never completed on {} bytes", raw.len());
+        Session { requests, error: None }
     }
 
     #[test]
-    fn incremental_parse_matches_blocking_parse() {
+    fn incremental_parse_matches_one_shot_parse() {
         let cases: &[&[u8]] = &[
             b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
             b"POST /solve HTTP/1.1\r\nContent-Length: 4\r\n\r\n{\"a\"",
@@ -596,13 +504,17 @@ mod tests {
             b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n",
         ];
         for raw in cases {
-            let blocking = read(raw).expect("blocking parse");
-            let (incremental, consumed) = parse_incremental(raw).expect("incremental parse");
-            assert_eq!(incremental.method, blocking.method);
-            assert_eq!(incremental.path, blocking.path);
-            assert_eq!(incremental.body, blocking.body);
-            assert_eq!(incremental.keep_alive, blocking.keep_alive);
+            let (one_shot, consumed) = parse(raw).expect("one-shot parse");
             assert_eq!(consumed, raw.len(), "whole request consumed, no surplus");
+            // drip-fed one byte at a time: same request, same consumption
+            let cuts: Vec<usize> = (0..raw.len()).collect();
+            let drip = session(raw, &cuts, &limits());
+            assert_eq!(drip.error, None);
+            assert_eq!(drip.requests.len(), 1);
+            let (dripped, dripped_consumed, continues) = &drip.requests[0];
+            assert_eq!(dripped, &one_shot);
+            assert_eq!(*dripped_consumed, consumed);
+            assert!(*continues <= 1, "100-continue must be signalled at most once");
         }
     }
 
@@ -638,46 +550,16 @@ mod tests {
             b"POST / HTTP/1.1\r\nContent-Length : 2\r\n\r\nab",
         ];
         for raw in bad {
-            let blocking = read(raw);
-            let incremental = (|| -> Result<(), RequestError> {
-                let mut parser = RequestParser::new();
-                for end in 0..=raw.len() {
-                    parser.advance(&raw[..end], &limits())?;
-                }
-                Ok(())
-            })();
-            match (&blocking, &incremental) {
-                (Err(RequestError::Bad(a)), Err(RequestError::Bad(b))) => assert_eq!(a, b),
-                other => panic!("expected matching Bad errors, got {other:?}"),
-            }
+            let one_shot = RequestParser::new().advance(raw, &limits()).unwrap_err();
+            assert!(matches!(one_shot, RequestError::Bad(_)), "{one_shot:?}");
+            let cuts: Vec<usize> = (0..raw.len()).collect();
+            assert_eq!(session(raw, &cuts, &limits()).error, Some(one_shot));
         }
     }
 
     #[test]
-    fn encode_response_matches_streamed_response() {
-        let mut streamed = Vec::new();
-        write_response_with(
-            &mut streamed,
-            200,
-            "application/json",
-            &[("X-Morer-Epoch".into(), "7".into())],
-            b"{\"ok\":true}",
-            true,
-        )
-        .unwrap();
-        let encoded = encode_response_with(
-            200,
-            "application/json",
-            &[("X-Morer-Epoch".into(), "7".into())],
-            b"{\"ok\":true}",
-            true,
-        );
-        assert_eq!(streamed, encoded);
-    }
-
-    #[test]
     fn parses_get_without_body() {
-        let r = read(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        let r = request(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
         assert_eq!(r.method, Method::Get);
         assert_eq!(r.path, "/healthz");
         assert!(r.body.is_empty());
@@ -686,33 +568,29 @@ mod tests {
 
     #[test]
     fn parses_post_with_exact_body() {
-        let r = read(b"POST /solve HTTP/1.1\r\nContent-Length: 4\r\n\r\n{\"a\"").unwrap();
+        let r = request(b"POST /solve HTTP/1.1\r\nContent-Length: 4\r\n\r\n{\"a\"");
         assert_eq!(r.method, Method::Post);
         assert_eq!(r.body, b"{\"a\"");
     }
 
     #[test]
     fn connection_close_and_http10_disable_keep_alive() {
-        let r = read(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
-        assert!(!r.keep_alive);
-        let r = read(b"GET / HTTP/1.0\r\n\r\n").unwrap();
-        assert!(!r.keep_alive);
-        let r = read(b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n").unwrap();
-        assert!(r.keep_alive);
+        assert!(!request(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n").keep_alive);
+        assert!(!request(b"GET / HTTP/1.0\r\n\r\n").keep_alive);
+        assert!(request(b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n").keep_alive);
     }
 
     #[test]
     fn oversized_body_is_too_large_before_reading_it() {
-        match read(b"POST /ingest HTTP/1.1\r\nContent-Length: 100000\r\n\r\n") {
-            Err(RequestError::TooLarge { declared, max }) => {
-                assert_eq!(declared, 100000);
-                assert_eq!(max, 64);
-            }
-            other => panic!("expected TooLarge, got {other:?}"),
-        }
+        // the head alone decides: no body byte has arrived
+        let raw = b"POST /ingest HTTP/1.1\r\nContent-Length: 100000\r\n\r\n";
+        assert_eq!(
+            RequestParser::new().advance(raw, &limits()).unwrap_err(),
+            RequestError::TooLarge { declared: 100000, max: 64 }
+        );
         // a Content-Length beyond u64 parsing is malformed, not a panic
         assert!(matches!(
-            read(b"POST / HTTP/1.1\r\nContent-Length: 99999999999999999999999\r\n\r\n"),
+            parse(b"POST / HTTP/1.1\r\nContent-Length: 99999999999999999999999\r\n\r\n"),
             Err(RequestError::Bad(_))
         ));
     }
@@ -733,96 +611,106 @@ mod tests {
             // dropped as an unknown header, silently un-framing the body
             &b"POST /x HTTP/1.1\r\nContent-Length : 5\r\n\r\nhello"[..],
             &b"POST /x HTTP/1.1\r\n Content-Length: 5\r\n\r\nhello"[..],
-            // RFC 9112 SS6.3: conflicting/duplicate Content-Length headers
+            // RFC 9112 §6.3: conflicting/duplicate Content-Length headers
             // are a request-smuggling vector and must be rejected
             &b"POST /x HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 0\r\n\r\nhello"[..],
             &b"POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nhi"[..],
         ] {
-            assert!(matches!(read(raw), Err(RequestError::Bad(_))), "{raw:?}");
+            assert!(matches!(parse(raw), Err(RequestError::Bad(_))), "{raw:?}");
         }
-        // a head larger than the cap is rejected rather than buffered forever
+        // a head larger than the cap is rejected rather than buffered
+        // forever — even before its terminator arrives
         let mut big = b"GET /x HTTP/1.1\r\nX-Pad: ".to_vec();
-        big.extend(std::iter::repeat(b'a').take(2048));
+        big.extend(std::iter::repeat_n(b'a', 2048));
+        assert!(matches!(
+            RequestParser::new().advance(&big, &limits()),
+            Err(RequestError::Bad(_))
+        ));
         big.extend(b"\r\n\r\n");
-        assert!(matches!(read(&big), Err(RequestError::Bad(_))));
+        assert!(matches!(parse(&big), Err(RequestError::Bad(_))));
     }
 
     #[test]
     fn eof_before_any_byte_is_closed_mid_request_is_bad() {
-        assert!(matches!(read(b""), Err(RequestError::Closed)));
-        assert!(matches!(read(b"GET /x HT"), Err(RequestError::Bad(_))));
-        assert!(matches!(
-            read(b"POST /x HTTP/1.1\r\nContent-Length: 9\r\n\r\nshort"),
-            Err(RequestError::Bad(_))
-        ));
+        // nothing of a request arrived: the clean end of a keep-alive
+        // connection
+        assert_eq!(RequestParser::new().eof(b""), Ok(()));
+        // EOF inside the head, then inside the body
+        for (raw, message) in [
+            (&b"GET /x HT"[..], "connection closed mid-request"),
+            (&b"POST /x HTTP/1.1\r\nContent-Length: 9\r\n\r\nshort"[..], "connection closed mid-body"),
+        ] {
+            let mut parser = RequestParser::new();
+            assert!(matches!(
+                parser.advance(raw, &limits()),
+                Ok(ParseStatus::NeedMore { .. })
+            ));
+            assert_eq!(parser.eof(raw), Err(RequestError::Bad(message.into())));
+        }
     }
 
     #[test]
     fn pipelined_surplus_is_carried_to_the_next_request() {
-        let mut duplex =
-            Duplex::new(b"POST /a HTTP/1.1\r\nContent-Length: 2\r\n\r\nxxGET /b HTTP/1.1\r\n\r\n");
-        let mut carry = Vec::new();
-        let first = read_request(&mut duplex, &mut carry, &limits(), || false).unwrap();
+        let raw = b"POST /a HTTP/1.1\r\nContent-Length: 2\r\n\r\nxxGET /b HTTP/1.1\r\n\r\n";
+        let (first, consumed) = parse(raw).unwrap();
         assert_eq!(first.path, "/a");
         assert_eq!(first.body, b"xx");
-        let second = read_request(&mut duplex, &mut carry, &limits(), || false).unwrap();
+        let (second, rest) = parse(&raw[consumed..]).unwrap();
         assert_eq!(second.path, "/b");
         assert_eq!(second.method, Method::Get);
+        assert_eq!(consumed + rest, raw.len());
     }
 
     #[test]
     fn expect_100_continue_gets_the_interim_response() {
-        // head + 5000-byte body: the first 4 KiB read leaves the body
-        // incomplete when the head parses, so the interim response fires
-        // before the body read (a real expecting client — curl with a >1 KB
-        // body — would not even send the body until it arrives)
-        let mut raw =
-            b"POST /ingest HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 5000\r\n\r\n"
-                .to_vec();
-        raw.extend(std::iter::repeat(b'x').take(5000));
-        let big = Limits { max_header_bytes: 1024, max_body_bytes: 10_000 };
-        let mut duplex = Duplex::new(&raw);
-        let req = read_request(&mut duplex, &mut Vec::new(), &big, || false).unwrap();
-        assert_eq!(req.body.len(), 5000);
-        assert_eq!(duplex.output, CONTINUE);
+        let head = b"POST /ingest HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 5\r\n\r\n";
+        let mut raw = head.to_vec();
+        raw.extend(b"hello");
+        // head parsed, body held back: signal the interim response once…
+        let mut parser = RequestParser::new();
+        for (end, signalled) in [(head.len(), true), (head.len(), false), (head.len() + 2, false)] {
+            match parser.advance(&raw[..end], &limits()).unwrap() {
+                ParseStatus::NeedMore { send_continue } => assert_eq!(send_continue, signalled),
+                other => panic!("expected NeedMore, got {other:?}"),
+            }
+        }
+        // …and the body completes the request
+        match parser.advance(&raw, &limits()).unwrap() {
+            ParseStatus::Ready { request, .. } => assert_eq!(request.body, b"hello"),
+            other => panic!("expected Ready, got {other:?}"),
+        }
 
         // a body already in the buffer needs no interim response
-        let mut duplex = Duplex::new(
-            b"POST /x HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\nhi",
-        );
-        let req = read_request(&mut duplex, &mut Vec::new(), &limits(), || false).unwrap();
-        assert_eq!(req.body, b"hi");
-        assert!(duplex.output.is_empty());
+        let drip = session(&raw, &[head.len() - 1], &limits());
+        assert_eq!(drip.requests.len(), 1);
+        assert_eq!(drip.requests[0].2, 0);
 
         // unknown expectations are rejected, not silently ignored
         assert!(matches!(
-            read(b"POST /x HTTP/1.1\r\nExpect: minotaur\r\nContent-Length: 0\r\n\r\n"),
+            parse(b"POST /x HTTP/1.1\r\nExpect: minotaur\r\nContent-Length: 0\r\n\r\n"),
             Err(RequestError::Bad(_))
         ));
     }
 
     #[test]
     fn responses_have_fixed_length_and_connection_header() {
-        let mut out = Vec::new();
-        write_response(&mut out, 200, b"{\"ok\":true}", true).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(text.contains("Content-Length: 11\r\n"));
-        assert!(text.contains("Connection: keep-alive\r\n"));
-        assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
-        let mut out = Vec::new();
-        write_response(&mut out, 413, b"{}", false).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let out = encode_response_with(200, "application/json", &[], b"{\"ok\":true}", true);
+        assert_eq!(
+            out,
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 11\r\n\
+              Connection: keep-alive\r\n\r\n{\"ok\":true}"
+        );
+        let text =
+            String::from_utf8(encode_response_with(413, "application/json", &[], b"{}", false))
+                .unwrap();
         assert!(text.starts_with("HTTP/1.1 413 Payload Too Large\r\n"));
         assert!(text.contains("Connection: close\r\n"));
     }
 
     #[test]
     fn responses_can_carry_binary_bodies_and_extra_headers() {
-        let mut out = Vec::new();
         let extra = vec![("x-morer-generation".to_owned(), "3".to_owned())];
-        write_response_with(&mut out, 200, "application/octet-stream", &extra, &[0, 159, 7], true)
-            .unwrap();
+        let out = encode_response_with(200, "application/octet-stream", &extra, &[0, 159, 7], true);
         let head_end = find_head_end(&out).unwrap();
         let head = std::str::from_utf8(&out[..head_end]).unwrap();
         assert!(head.contains("Content-Type: application/octet-stream\r\n"));
@@ -832,5 +720,137 @@ mod tests {
         assert_eq!(&out[head_end + 4..], &[0, 159, 7]);
         assert_eq!(reason(409), "Conflict");
         assert_eq!(reason(503), "Service Unavailable");
+    }
+
+    /// A generated well-formed request: its wire bytes plus the `Request`
+    /// they must parse to and whether it declares `Expect: 100-continue`.
+    fn valid_request() -> impl Strategy<Value = (Vec<u8>, Request, bool)> {
+        (
+            (any::<bool>(), "/[a-z_]{1,12}", 0usize..3, any::<bool>()),
+            (0usize..3, any::<bool>(), 0usize..3, 0usize..120),
+            proptest::collection::vec(any::<u8>(), 0..48),
+        )
+            .prop_map(|((post, path, connection, http10), (extra, expect, tail, pad), body)| {
+                let method = if post { Method::Post } else { Method::Get };
+                let body = if post { body } else { Vec::new() };
+                let mut head = format!(
+                    "{} {path} HTTP/1.{}\r\n",
+                    if post { "POST" } else { "GET" },
+                    if http10 { 0 } else { 1 }
+                );
+                let mut keep_alive = !http10;
+                match connection {
+                    1 => {
+                        head.push_str("Connection: close\r\n");
+                        keep_alive = false;
+                    }
+                    2 => {
+                        head.push_str("connection: Keep-Alive\r\n");
+                        keep_alive = true;
+                    }
+                    _ => {}
+                }
+                for i in 0..extra {
+                    head.push_str(&format!("X-Extra-{i}:  value {i} \r\n"));
+                }
+                // padding pushes heads across the header cap used below,
+                // so the size verdict is exercised at every split too
+                head.push_str(&format!("X-Pad: {}\r\n", "p".repeat(pad)));
+                let expect = expect && post;
+                if expect {
+                    head.push_str("Expect: 100-continue\r\n");
+                }
+                if post || tail == 0 {
+                    head.push_str(&format!("Content-Length: {}\r\n", body.len()));
+                }
+                head.push_str("\r\n");
+                let mut raw = head.into_bytes();
+                raw.extend_from_slice(&body);
+                (raw, Request { method, path, body, keep_alive }, expect)
+            })
+    }
+
+    /// Head cap small enough that padded heads straddle it.
+    const PROP_LIMITS: Limits = Limits { max_header_bytes: 160, max_body_bytes: 40 };
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Splitting a pipelined pair at any point yields exactly the
+        /// one-shot parse: the same requests, the same consumed counts,
+        /// the same error; and `100 Continue` is signalled at most once
+        /// per request, only when declared.
+        #[test]
+        fn any_split_matches_the_one_shot_parse(
+            a in valid_request(),
+            b in valid_request(),
+        ) {
+            let (raw_a, want_a, expect_a) = a;
+            let (raw_b, want_b, expect_b) = b;
+            let mut raw = raw_a.clone();
+            raw.extend_from_slice(&raw_b);
+            let one_shot = session(&raw, &[], &PROP_LIMITS);
+            // whatever fits the limits parses to exactly what was generated
+            let fits = |want: &Request, raw: &[u8]| {
+                find_head_end(raw).is_some_and(|h| h <= PROP_LIMITS.max_header_bytes)
+                    && want.body.len() <= PROP_LIMITS.max_body_bytes
+            };
+            if fits(&want_a, &raw_a) {
+                prop_assert!(!one_shot.requests.is_empty(), "{:?}", one_shot.error);
+                prop_assert_eq!(&one_shot.requests[0].0, &want_a);
+                prop_assert_eq!(one_shot.requests[0].1, raw_a.len());
+                if fits(&want_b, &raw_b) {
+                    prop_assert_eq!(one_shot.requests.len(), 2);
+                    prop_assert_eq!(&one_shot.requests[1].0, &want_b);
+                    prop_assert_eq!(one_shot.error.clone(), None);
+                }
+            } else {
+                prop_assert!(one_shot.requests.is_empty());
+                prop_assert!(one_shot.error.is_some());
+            }
+            for cut in 0..=raw.len() {
+                let split = session(&raw, &[cut], &PROP_LIMITS);
+                let strip = |s: &Session| -> Vec<(Request, usize)> {
+                    s.requests.iter().map(|(r, c, _)| (r.clone(), *c)).collect()
+                };
+                prop_assert_eq!(strip(&split), strip(&one_shot), "split at {}", cut);
+                prop_assert_eq!(split.error.clone(), one_shot.error.clone(), "split at {}", cut);
+                for (i, (_, _, continues)) in split.requests.iter().enumerate() {
+                    let declared = if i == 0 { expect_a } else { expect_b };
+                    prop_assert!(*continues <= usize::from(declared), "split at {}", cut);
+                }
+            }
+        }
+
+        /// Random bytes and mutated requests only ever produce a request
+        /// or a typed error — never a panic — and the verdict still does
+        /// not depend on how the bytes were split.
+        #[test]
+        fn mutated_heads_yield_only_typed_errors(
+            base in valid_request(),
+            edits in proptest::collection::vec((0usize..4096, any::<u8>(), 0usize..3), 1..6),
+            noise in proptest::collection::vec(any::<u8>(), 0..96),
+        ) {
+            let mut raw = base.0;
+            for (at, byte, op) in edits {
+                let at = at % (raw.len() + 1);
+                match op {
+                    0 if at < raw.len() => raw[at] = byte,
+                    1 if at < raw.len() => {
+                        raw.remove(at);
+                    }
+                    _ => raw.insert(at, byte),
+                }
+            }
+            for candidate in [raw, noise] {
+                let one_shot = session(&candidate, &[], &PROP_LIMITS);
+                let consumed: usize = one_shot.requests.iter().map(|(_, c, _)| c).sum();
+                prop_assert!(consumed <= candidate.len());
+                let cuts: Vec<usize> = (0..candidate.len()).collect();
+                let drip = session(&candidate, &cuts, &PROP_LIMITS);
+                prop_assert_eq!(drip.error.clone(), one_shot.error.clone());
+                prop_assert_eq!(drip.requests.len(), one_shot.requests.len());
+            }
+        }
     }
 }

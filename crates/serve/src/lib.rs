@@ -7,41 +7,39 @@
 //! has no crates.io access, see `crates/vendor/README.md`) on top of the
 //! two-layer pipeline API.
 //!
+//! **Serving requires Linux**: the connection core is built on `epoll`.
+//! Elsewhere [`MorerServer::start`] and [`MorerServer::serve_replica`]
+//! return a typed error ([`ServeConfig::validate`]); the client, wire
+//! types, metrics and [`replica::Replica`] stay portable.
+//!
 //! ## Architecture
 //!
-//! Two connection cores ([`ServeBackend`]) share everything above the
-//! transport — the same resumable [`http::RequestParser`], dispatch table,
-//! single-writer ingest channel, and [`metrics::MetricsRegistry`]:
+//! One connection core, the reactor: an `epoll` readiness loop over a raw
+//! `extern "C"` FFI shim (`std` already links libc; no crates needed).
+//! One or more reactor threads own *every* connection as a non-blocking
+//! state machine: per-connection read buffers feed the resumable
+//! [`http::RequestParser`], responses flush with partial-write resume and
+//! backpressure, keep-alive pipelining carries surplus bytes to the next
+//! request, and a timer queue fires idle/write-stall deadlines without
+//! polling. Cheap `GET`s (`/healthz`, `/stats`, `/metrics`,
+//! `/debug/trace`, `/wal`) are answered inline on the reactor thread;
+//! `POST` bodies (`/search`, `/solve`, `/solve_batch`, `/ingest`)
+//! dispatch to a compute pool sized to the machine. An idle connection
+//! costs a slab slot and a timer entry, so thousands of parked keep-alive
+//! clients (up to [`ServeConfig::max_connections`]) stall nothing; a
+//! client that stays silent past [`ServeConfig::idle_timeout`] is
+//! disconnected.
 //!
-//! * **Reactor** (default on Linux) — an `epoll` readiness loop over a raw
-//!   `extern "C"` FFI shim (`std` already links libc; no crates needed).
-//!   One or more reactor threads own *every* connection as a non-blocking
-//!   state machine: per-connection read buffers feed the incremental
-//!   parser, responses flush with partial-write resume and backpressure,
-//!   keep-alive pipelining carries surplus bytes to the next request, and
-//!   a timer queue fires idle/write-stall deadlines without polling.
-//!   Cheap `GET`s (`/healthz`, `/stats`, `/wal`) are answered inline on
-//!   the reactor thread; `POST` bodies (`/search`, `/solve`,
-//!   `/solve_batch`, `/ingest`) dispatch to a compute pool sized to the
-//!   machine. An idle connection costs a slab slot and a timer entry, so
-//!   thousands of parked keep-alive clients (up to
-//!   [`ServeConfig::max_connections`]) stall nothing.
+//! ```text
+//! listener ──accept──▶ reactor thread(s): epoll { conn slab + timers }
+//!                        │ GET: dispatch inline       ▲ completions
+//!                        └─ POST ──▶ compute pool ────┘  (wake pipe)
+//!                                      │ /ingest
+//!                                      ▼
+//!                            single writer thread ──▶ WAL / snapshot swap
+//! ```
 //!
-//!   ```text
-//!   listener ──accept──▶ reactor thread(s): epoll { conn slab + timers }
-//!                          │ GET: dispatch inline       ▲ completions
-//!                          └─ POST ──▶ compute pool ────┘  (wake pipe)
-//!                                        │ /ingest
-//!                                        ▼
-//!                              single writer thread ──▶ WAL / snapshot swap
-//!   ```
-//!
-//! * **Threaded** (portable fallback, [`ServeBackend::Threaded`]) — a fixed
-//!   pool of [`ServeConfig::workers`] blocking threads, one connection per
-//!   worker; each idle keep-alive client pins a worker until its
-//!   [`ServeConfig::idle_timeout`].
-//!
-//! The serving contract is backend-independent:
+//! Above the transport:
 //!
 //! * **Read path** — every `/search`, `/solve` and `/solve_batch` request is
 //!   served from the current epoch-pinned `Arc<ModelSearcher>` snapshot
@@ -62,7 +60,7 @@
 //!   commit its problems were part of).
 //! * **Observability** — a flight-recorder layer built on `morer_obs`,
 //!   lock-free and allocation-free on the request path. `GET /healthz`
-//!   reports the epoch and which backend answered; `GET /stats` adds
+//!   reports the epoch and the connection core; `GET /stats` adds
 //!   per-endpoint counters split by status class plus latency quantiles
 //!   (p50/p90/p99/p999 from log-linear [`morer_obs::Histogram`]s, ≤6.25%
 //!   relative error) and connection-lifecycle gauges; `GET /metrics`
@@ -83,17 +81,19 @@
 //!   (`MorerServer::serve_replica`). Followers survive leader
 //!   restarts, mid-tail compaction and corrupt streams by renegotiating
 //!   offsets and resyncing from base — they degrade to stale-but-consistent
-//!   reads instead of crashing. With reactor-cheap connections, fanning one
-//!   leader out to many followers costs the leader a slab slot each.
+//!   reads instead of crashing. Fanning one leader out to many followers
+//!   costs the leader a slab slot each.
 //!
 //! Failure modes are typed end-to-end: malformed HTTP or JSON is `400`,
 //! searching an empty repository is `404`, an oversized body is `413`
 //! (bounded by [`ServeConfig::max_body_bytes`]), a dead writer is `500` —
 //! all with a JSON `{"error": {"kind", "message"}}` body derived from
 //! [`morer_core::error::MorerError`], and none of them kill the thread that
-//! answered. Clients that go silent or trickle bytes (slowloris) are
-//! disconnected at [`ServeConfig::idle_timeout`] and counted in the
-//! `idle_reaped` gauge.
+//! answered. A query parameter that is present but malformed (`/wal`'s
+//! `from`, `gen`, `max`; `/debug/trace`'s `id`) is a `400`, never
+//! silently replaced by its default. Clients that go silent or trickle
+//! bytes (slowloris) are disconnected at [`ServeConfig::idle_timeout`] and
+//! counted in the `idle_reaped` gauge.
 //!
 //! ## Quickstart
 //!
@@ -117,11 +117,10 @@
 //!
 //! With a server on `127.0.0.1:7878` (problems are the JSON form of
 //! [`morer_data::ErProblem`] — see `examples/serve_demo.rs` for a script
-//! that prints ready-made request bodies). Set `MORER_SERVE_BACKEND` to
-//! `threaded` or `reactor` to override the platform default backend:
+//! that prints ready-made request bodies):
 //!
 //! ```text
-//! # liveness, current repository epoch, and which backend is serving
+//! # liveness, current repository epoch, and the connection core
 //! curl http://127.0.0.1:7878/healthz
 //!
 //! # per-endpoint request counters (split 2xx/4xx/5xx), latency
@@ -139,7 +138,7 @@
 //! curl "http://127.0.0.1:7878/debug/trace?id=00f1e2d3c4b5a697"
 //!
 //! # park idle keep-alive connections without stalling the lines above
-//! # (reactor backend; each costs the server one slab slot + one timer)
+//! # (each costs the server one slab slot + one timer)
 //! for i in $(seq 1000); do sleep 300 | nc 127.0.0.1 7878 & done
 //!
 //! # sel_base model search: which stored model fits this problem best?
@@ -168,8 +167,9 @@
 //! concurrent commit. `/solve` responses are bit-identical to in-process
 //! [`morer_core::searcher::ModelSearcher::solve`] calls on the same epoch —
 //! the vendored `serde_json` round-trips every `f64` exactly — which the
-//! loopback tests in `tests/` assert (`cross_backend_solves_are_bit_identical`)
-//! and `perfbench` re-checks before any throughput number is reported.
+//! loopback tests in `tests/` assert
+//! (`served_solves_are_bit_identical_to_in_process`) and `perfbench`
+//! re-checks before any throughput number is reported.
 
 pub mod client;
 pub mod config;

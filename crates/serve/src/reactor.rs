@@ -1,5 +1,5 @@
-//! The readiness-reactor backend: event-driven connection handling for
-//! thousands of concurrent keep-alive clients on a handful of threads.
+//! The connection core: event-driven connection handling for thousands of
+//! concurrent keep-alive clients on a handful of threads.
 //!
 //! ## Architecture
 //!
@@ -23,8 +23,8 @@
 //!   read buffer feeding a resumable [`RequestParser`], a write buffer
 //!   with partial-write resume, and an idle deadline in a timer queue.
 //!   Between events a connection costs one slab slot — no thread, no
-//!   stack — which is what moves the concurrency ceiling from `workers`
-//!   to [`crate::ServeConfig::max_connections`].
+//!   stack — so the concurrency ceiling is
+//!   [`crate::ServeConfig::max_connections`], not a thread count.
 //! * **Cheap GETs inline**: `/healthz`, `/stats` and the `/wal` shipping
 //!   endpoints are answered on the reactor thread itself — two thread
 //!   hops would triple the ~12 µs protocol floor.
@@ -41,16 +41,16 @@
 //!   entry whose connection has a later deadline — it was re-armed by a
 //!   request — just re-pushes). `epoll_wait`'s timeout is the earliest
 //!   pending deadline; an all-idle server sleeps indefinitely.
-//! * **Shutdown** mirrors the threaded backend's grace: a flag plus a
-//!   doorbell wake; idle connections close at once, busy/flushing ones
-//!   finish their in-flight request first, then reactors drop their job
-//!   senders, the pool drains, and the writer exits last.
+//! * **Shutdown** is graceful: a flag plus a doorbell wake; idle
+//!   connections close at once, busy/flushing ones finish their in-flight
+//!   request first, then reactors drop their job senders, the pool
+//!   drains, and the writer exits last.
 //!
-//! Protocol behavior is deliberately bit-for-bit the threaded backend's:
-//! the same parser, the same dispatch table, the same error envelopes,
-//! and the same post-4xx half-close drain (see `drain_briefly` in
-//! `server.rs`) so a buffered error response survives the client's
-//! in-flight body instead of being destroyed by an RST.
+//! Protocol errors (a `400` or `413` from the parser, or a request cut off
+//! by the peer's EOF — see [`RequestParser::eof`]) are answered with the
+//! JSON error envelope, then the write half is shut and the client's
+//! in-flight body drained for [`DRAIN_WINDOW`], so the buffered error
+//! response survives instead of being destroyed by an RST.
 
 #![cfg(target_os = "linux")]
 
@@ -82,11 +82,11 @@ const READ_CHUNK: usize = 16 << 10;
 const MAX_READS_PER_EVENT: usize = 16;
 
 /// How long a connection may sit in `Flush` without the socket accepting
-/// bytes before it is declared stalled and dropped (mirrors the threaded
-/// backend's 10 s write timeout).
+/// bytes before it is declared stalled and dropped.
 const WRITE_STALL: Duration = Duration::from_secs(10);
 
-/// The post-4xx drain window (mirrors `drain_briefly`).
+/// How long a connection that was answered with a protocol error keeps
+/// discarding the client's in-flight bytes before it is closed.
 const DRAIN_WINDOW: Duration = Duration::from_millis(250);
 
 /// One dispatched POST request in flight on the compute pool.
@@ -168,7 +168,7 @@ struct Conn {
     out_pos: usize,
     /// Current deadline (idle, write-stall or drain-window depending on
     /// `lifecycle`); `None` while `Busy` — request *processing* time is
-    /// not bounded here, matching the threaded backend.
+    /// not bounded.
     deadline: Option<Instant>,
     /// Earliest timer-heap entry known to exist for this connection
     /// (lazy-revalidation bookkeeping; see [`Timers`]).
@@ -278,9 +278,10 @@ pub(crate) struct BackendThreads {
     pub(crate) bells: Vec<Arc<Doorbell>>,
 }
 
-/// Spawn `config.reactors` event loops plus the compute pool. Mirrors
-/// `spawn_workers`' contract: on any spawn failure everything already
-/// started is shut down and joined before the error returns.
+/// Spawn `config.reactors` event loops plus the compute pool. On any spawn
+/// failure everything already started is shut down and joined before the
+/// error returns — a partial server must not keep serving a port the
+/// caller believes never started.
 pub(crate) fn spawn_reactors(
     listener: &TcpListener,
     state: &Arc<ServerState>,
@@ -368,9 +369,9 @@ pub(crate) fn spawn_reactors(
     Ok(handles)
 }
 
-/// One compute-pool thread: pull a job, dispatch it (the same routing,
-/// validation and `catch_unwind` envelope as the threaded backend),
-/// encode the response, ring the owning reactor's doorbell.
+/// One compute-pool thread: pull a job, dispatch it under `catch_unwind`
+/// (a handler panic answers 500 and closes that connection; the thread
+/// lives on), encode the response, ring the owning reactor's doorbell.
 fn compute_loop(
     job_rx: &Arc<Mutex<Receiver<Job>>>,
     state: &Arc<ServerState>,
@@ -421,18 +422,14 @@ impl Reactor {
                 d.saturating_duration_since(now).as_millis().min(u128::from(u64::MAX)) as u64
             });
             let wait_started = Instant::now();
-            let n = match self.epoll.wait(&mut events, timeout) {
-                Ok(n) => n,
-                Err(_) => 0,
-            };
+            let n = self.epoll.wait(&mut events, timeout).unwrap_or_default();
             let stages = self.state.metrics.stages();
             stages.epoll_wait_micros.record_micros(wait_started.elapsed());
             stages.dispatch_depth.record(n as u64);
             if self.state.shutdown.load(Ordering::Acquire) && !self.winding_down {
                 self.begin_winding_down();
             }
-            for i in 0..n {
-                let ev = events[i];
+            for ev in &events[..n] {
                 match ev.token() {
                     TOKEN_LISTENER => self.accept_ready(),
                     TOKEN_WAKE => self.bell.waker.drain(),
@@ -452,8 +449,7 @@ impl Reactor {
 
     /// Shutdown observed: stop accepting, close idle connections, let
     /// busy/flushing ones finish their in-flight request (the writer is
-    /// still alive to answer in-flight `/ingest`, exactly like the
-    /// threaded pool's per-connection grace).
+    /// still alive to answer in-flight `/ingest`).
     fn begin_winding_down(&mut self) {
         self.winding_down = true;
         let _ = self.epoll.delete(self.listener.as_raw_fd());
@@ -692,53 +688,44 @@ impl Reactor {
                     }
                 }
                 let Some(conn) = self.slab.conns[slot].as_mut() else { return false };
-                if conn.peer_closed {
-                    // mirror read_request's EOF taxonomy: clean close
-                    // between requests, 400 mid-request/mid-body
-                    if conn.buf.is_empty() && !conn.parser.mid_body() {
-                        self.close(slot);
-                        return false;
-                    }
-                    let msg = if conn.parser.mid_body() {
-                        "connection closed mid-body"
-                    } else {
-                        "connection closed mid-request"
-                    };
-                    self.state.metrics.record(Endpoint::Other, Duration::ZERO, 400);
-                    self.queue_reply(
-                        slot,
-                        400,
-                        plain_error("bad_request", msg).into_bytes(),
-                        false,
-                        true,
-                    );
-                    return true;
+                if !conn.peer_closed {
+                    return false;
                 }
-                false
+                // the peer's EOF: a clean close between requests, or a
+                // truncated request that earns a 400
+                match conn.parser.eof(&conn.buf) {
+                    Ok(()) => {
+                        self.close(slot);
+                        false
+                    }
+                    Err(err) => {
+                        self.reject(slot, err);
+                        true
+                    }
+                }
             }
             Err(err) => {
-                let (status, body) = match err {
-                    RequestError::Bad(msg) => (400, plain_error("bad_request", &msg)),
-                    RequestError::TooLarge { declared, max } => (
-                        413,
-                        plain_error(
-                            "payload_too_large",
-                            &format!(
-                                "declared body of {declared} bytes exceeds the {max} byte limit"
-                            ),
-                        ),
-                    ),
-                    // advance() is pure — Closed/Io cannot come from it
-                    RequestError::Closed | RequestError::Io(_) => {
-                        self.close(slot);
-                        return false;
-                    }
-                };
-                self.state.metrics.record(Endpoint::Other, Duration::ZERO, status);
-                self.queue_reply(slot, status, body.into_bytes(), false, true);
+                self.reject(slot, err);
                 true
             }
         }
+    }
+
+    /// Answer a protocol error with its typed envelope, then close through
+    /// the drain window.
+    fn reject(&mut self, slot: usize, err: RequestError) {
+        let (status, body) = match err {
+            RequestError::Bad(msg) => (400, plain_error("bad_request", &msg)),
+            RequestError::TooLarge { declared, max } => (
+                413,
+                plain_error(
+                    "payload_too_large",
+                    &format!("declared body of {declared} bytes exceeds the {max} byte limit"),
+                ),
+            ),
+        };
+        self.state.metrics.record(Endpoint::Other, Duration::ZERO, status);
+        self.queue_reply(slot, status, body.into_bytes(), false, true);
     }
 
     /// Route one parsed request: cheap GETs inline on this thread, POSTs
@@ -904,7 +891,7 @@ impl Reactor {
         let gen = self.slab.gens[slot];
         let Some(conn) = self.slab.conns[slot].as_mut() else { return };
         conn.deadline = Some(when);
-        if conn.next_fire.map_or(true, |f| when < f) {
+        if conn.next_fire.is_none_or(|f| when < f) {
             conn.next_fire = Some(when);
             self.timers.push(when, slot, gen);
         }
@@ -937,7 +924,7 @@ impl Reactor {
                     // deadline moved later (re-armed by a request): keep
                     // at most one live entry per connection
                     let conn = self.slab.conns[slot].as_mut().expect("live above");
-                    if conn.next_fire.map_or(true, |f| d < f) {
+                    if conn.next_fire.is_none_or(|f| d < f) {
                         conn.next_fire = Some(d);
                         self.timers.push(d, slot, gen);
                     }

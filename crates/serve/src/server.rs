@@ -1,22 +1,22 @@
-//! The server: a fixed pool of connection workers over one shared
+//! The server: the reactor connection core (`reactor.rs`) over one shared
 //! `TcpListener` (the read path), a single writer thread owning the
-//! [`Morer`] pipeline (the write path), and a snapshot slot connecting the
-//! two.
+//! [`Morer`] pipeline (the write path), a snapshot slot connecting the
+//! two, and the dispatch table every request goes through.
 //!
 //! ## Concurrency architecture
 //!
 //! ```text
-//!  client ──► worker 0 ──┐ clone Arc  ┌──────────────────────────┐
-//!  client ──► worker 1 ──┼───────────►│ Mutex<Arc<ModelSearcher>>│  read path
-//!  client ──► worker .. ─┘            └────────────▲─────────────┘
-//!                │ /ingest jobs                    │ swap per commit
-//!                ▼                                 │
-//!        bounded mpsc channel ──► writer thread (owns Morer)       write path
+//!  clients ══► reactor thread(s) ──GET inline──┐ clone Arc  ┌──────────────────────────┐
+//!                   │ POST                     ├───────────►│ Mutex<Arc<ModelSearcher>>│  read path
+//!                   └──► compute pool ─────────┘            └────────────▲─────────────┘
+//!                              │ /ingest jobs                            │ swap per commit
+//!                              ▼                                         │
+//!                 bounded mpsc channel ──► writer thread (owns Morer)             write path
 //! ```
 //!
-//! * Workers never hold the snapshot lock across a solve: they clone the
-//!   `Arc` and serve from that epoch, so a commit never blocks a reader
-//!   and a reader never observes a half-updated repository.
+//! * Request handlers never hold the snapshot lock across a solve: they
+//!   clone the `Arc` and serve from that epoch, so a commit never blocks a
+//!   reader and a reader never observes a half-updated repository.
 //! * The writer drains every queued ingest job before committing, so
 //!   concurrent `/ingest` requests micro-batch into one
 //!   [`Morer::add_problems`] recluster/retrain commit. Each requester gets
@@ -39,10 +39,10 @@
 //!   per job with a typed 400 (and [`Morer::add_problems`] itself rejects
 //!   them with [`MorerError::InvalidProblem`] as a second line), and
 //!   dispatch runs under `catch_unwind` as a last line of defense (a panic
-//!   answers 500 and closes the connection; the worker lives on).
-//! * Shutdown is cooperative: the listener is non-blocking and workers
-//!   poll a flag between accepts and on read timeouts; the ingest channel
-//!   closes when the last worker exits, which ends the writer.
+//!   answers 500 and closes the connection; the thread lives on).
+//! * Shutdown is cooperative: a flag plus a doorbell wake per reactor;
+//!   in-flight requests finish, and the ingest channel closes when the
+//!   last compute thread exits, which ends the writer.
 //! * Durability is opt-in ([`ServeConfig::wal_dir`]): the writer commits
 //!   through an attached write-ahead log, and because the log append and
 //!   its fsync (under [`morer_core::wal::Durability::Fsync`]) happen
@@ -56,7 +56,7 @@
 //!   whenever the follower's generation or offset no longer matches the
 //!   log (leader restart, compaction mid-tail).
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
@@ -66,8 +66,8 @@ use std::time::{Duration, Instant};
 
 use serde::Deserialize;
 
-use crate::config::{ServeBackend, ServeConfig};
-use crate::http::{self, Method, Request, RequestError};
+use crate::config::ServeConfig;
+use crate::http::{Method, Request};
 use crate::metrics::{
     stage_name, Endpoint, EndpointStats, MetricsRegistry, Trace, STAGE_DECODE, STAGE_ENCODE,
     STAGE_SEARCH, STAGE_SOLVE, STAGE_WRITER_WAIT,
@@ -120,7 +120,7 @@ struct Published {
     searcher: Arc<ModelSearcher>,
 }
 
-/// State shared by every worker/reactor thread, the writer and the
+/// State shared by the reactor and compute threads, the writer and the
 /// handle.
 pub(crate) struct ServerState {
     /// The epoch-pinned read snapshot (plus its epoch), swapped — never
@@ -149,7 +149,7 @@ pub(crate) struct ServerState {
     /// snapshot, `/ingest` answers `503`, `/healthz` reports the
     /// [`crate::replica::ReplicaStatus`].
     replica: Option<Arc<ReplicaCore>>,
-    /// Which connection core serves this instance ([`ServeBackend::label`];
+    /// The connection core's label ([`crate::ServeBackend::label`];
     /// reported by `/healthz`).
     backend: &'static str,
     /// The pipeline's write-ahead-log meters (append/fsync/compact
@@ -213,8 +213,9 @@ impl MorerServer {
     /// attached log is also *shipped*: followers tail it via `GET /wal`.
     ///
     /// # Errors
-    /// [`MorerError::Io`] when the address cannot be bound or threads
-    /// cannot be spawned, and the [`morer_core::wal::Wal::create`] errors
+    /// [`MorerError::Io`] when the address cannot be bound, threads cannot
+    /// be spawned, or the platform cannot serve (see
+    /// [`ServeConfig::validate`]), and the [`morer_core::wal::Wal::create`] errors
     /// (including attaching over an existing log directory — `Morer::open`
     /// it instead) when `wal_dir` is set.
     pub fn start(mut morer: Morer, config: &ServeConfig) -> Result<ServerHandle, MorerError> {
@@ -231,8 +232,7 @@ impl MorerServer {
             }
         }
         let listener = TcpListener::bind(config.addr.as_str())?;
-        // workers poll accept() cooperatively (see worker_loop): shutdown
-        // must not depend on being able to connect to the bound address
+        // reactors accept until WouldBlock on each readiness report
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let snapshot = morer.snapshot();
@@ -261,8 +261,8 @@ impl MorerServer {
                 .spawn(move || writer_loop(morer, ingest_rx, &state, group_commit, writer_retry))?
         };
 
-        let core = spawn_backend(&listener, &state, &ingest_tx, config);
-        // the backend threads hold the only remaining senders: when the
+        let core = spawn_core(&listener, &state, &ingest_tx, config);
+        // the core's threads hold the only remaining senders: when the
         // last one exits, the channel closes and the writer drains out
         drop(ingest_tx);
         match core {
@@ -270,7 +270,7 @@ impl MorerServer {
                 Ok(ServerHandle { addr, state, core, writer: Some(writer), replica: None })
             }
             Err(e) => {
-                // spawn_backend already tore its threads down; the writer
+                // spawn_core already tore its threads down; the writer
                 // sees the closed channel and drains out
                 let _ = writer.join();
                 Err(e.into())
@@ -292,7 +292,8 @@ impl MorerServer {
     ///
     /// # Errors
     /// [`MorerError::Io`] when the address cannot be bound or threads
-    /// cannot be spawned.
+    /// cannot be spawned, or the platform cannot serve (see
+    /// [`ServeConfig::validate`]).
     pub fn serve_replica(replica: Replica, config: &ServeConfig) -> Result<ServerHandle, MorerError> {
         config.validate()?;
         let listener = TcpListener::bind(config.addr.as_str())?;
@@ -316,76 +317,40 @@ impl MorerServer {
         // this channel is never sent on
         let (ingest_tx, ingest_rx) = mpsc::sync_channel::<IngestJob>(1);
         drop(ingest_rx);
-        let core = spawn_backend(&listener, &state, &ingest_tx, config)?;
+        let core = spawn_core(&listener, &state, &ingest_tx, config)?;
         Ok(ServerHandle { addr, state, core, writer: None, replica: Some(replica) })
     }
 }
 
-/// The running connection core: the spawned threads plus (reactor backend)
-/// the doorbells shutdown rings to pop reactors out of `epoll_wait`.
+/// The running connection core: the reactor and compute threads plus the
+/// doorbells shutdown rings to pop reactors out of `epoll_wait`.
 struct ServeCore {
     threads: Vec<JoinHandle<()>>,
     #[cfg(target_os = "linux")]
     bells: Vec<Arc<crate::reactor::Doorbell>>,
 }
 
-/// Spawn the configured backend's threads over the shared listener.
-fn spawn_backend(
+/// Spawn the reactor core over the shared listener (Linux only; elsewhere
+/// [`ServeConfig::validate`] has already refused to serve).
+fn spawn_core(
     listener: &TcpListener,
     state: &Arc<ServerState>,
     ingest_tx: &SyncSender<IngestJob>,
     config: &ServeConfig,
 ) -> Result<ServeCore, std::io::Error> {
-    match config.backend {
-        ServeBackend::Threaded => Ok(ServeCore {
-            threads: spawn_workers(listener, state, ingest_tx, config)?,
-            #[cfg(target_os = "linux")]
-            bells: Vec::new(),
-        }),
-        #[cfg(target_os = "linux")]
-        ServeBackend::Reactor => {
-            let backend = crate::reactor::spawn_reactors(listener, state, ingest_tx, config)?;
-            Ok(ServeCore { threads: backend.threads, bells: backend.bells })
-        }
-        #[cfg(not(target_os = "linux"))]
-        ServeBackend::Reactor => Err(std::io::Error::new(
+    #[cfg(target_os = "linux")]
+    {
+        let core = crate::reactor::spawn_reactors(listener, state, ingest_tx, config)?;
+        Ok(ServeCore { threads: core.threads, bells: core.bells })
+    }
+    #[cfg(not(target_os = "linux"))]
+    {
+        let _ = (listener, state, ingest_tx, config);
+        Err(std::io::Error::new(
             std::io::ErrorKind::Unsupported,
-            "reactor backend requires Linux (epoll)",
-        )),
+            "serving requires Linux (the reactor is built on epoll)",
+        ))
     }
-}
-
-/// Spawn the worker pool. On a spawn failure the already-running workers
-/// are shut down and joined before the error returns — a partial server
-/// must not keep serving a port the caller believes never started.
-fn spawn_workers(
-    listener: &TcpListener,
-    state: &Arc<ServerState>,
-    ingest_tx: &SyncSender<IngestJob>,
-    config: &ServeConfig,
-) -> Result<Vec<JoinHandle<()>>, std::io::Error> {
-    let mut workers = Vec::with_capacity(config.workers.max(1));
-    for i in 0..config.workers.max(1) {
-        let spawned = listener.try_clone().and_then(|listener| {
-            let state = Arc::clone(state);
-            let ingest_tx = ingest_tx.clone();
-            let config = config.clone();
-            std::thread::Builder::new()
-                .name(format!("morer-serve-worker-{i}"))
-                .spawn(move || worker_loop(&listener, &state, &ingest_tx, &config))
-        });
-        match spawned {
-            Ok(worker) => workers.push(worker),
-            Err(e) => {
-                state.shutdown.store(true, Ordering::Release);
-                for worker in workers {
-                    let _ = worker.join();
-                }
-                return Err(e);
-            }
-        }
-    }
-    Ok(workers)
 }
 
 /// Handle to a running server: address introspection and graceful
@@ -423,9 +388,10 @@ impl ServerHandle {
         self.replica.as_ref()
     }
 
-    /// Gracefully stop the server: in-flight requests finish, every worker
-    /// and the writer thread are joined. Queued ingest jobs still commit
-    /// before the writer exits; a fronted replica stops tailing.
+    /// Gracefully stop the server: in-flight requests finish, every
+    /// reactor and compute thread and the writer thread are joined. Queued
+    /// ingest jobs still commit before the writer exits; a fronted replica
+    /// stops tailing.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -438,9 +404,7 @@ impl ServerHandle {
         for bell in &self.core.bells {
             bell.ring();
         }
-        // threaded workers poll the flag between accepts and on read
-        // timeouts, so each exits within ~poll_interval; reactors finish
-        // in-flight requests, then exit. Either way the last backend
+        // reactors finish in-flight requests, then exit; the last compute
         // thread drops the final ingest sender, which ends the writer
         for thread in self.core.threads.drain(..) {
             let _ = thread.join();
@@ -512,7 +476,7 @@ fn writer_loop(
             Err(RecvTimeoutError::Disconnected) => return,
         };
         if morer.wal_poisoned().is_some() {
-            let due = last_probe.map_or(true, |t| t.elapsed() >= writer_retry);
+            let due = last_probe.is_none_or(|t| t.elapsed() >= writer_retry);
             if due {
                 last_probe = Some(Instant::now());
                 if matches!(morer.repair_wal(), Ok(true)) {
@@ -526,8 +490,7 @@ fn writer_loop(
         if morer.wal_poisoned().is_some() {
             // still degraded: refuse rather than acknowledge a commit the
             // log cannot persist (the requester can retry after repair)
-            let _ = first.reply.send(Err(MorerError::Io(std::io::Error::new(
-                std::io::ErrorKind::Other,
+            let _ = first.reply.send(Err(MorerError::Io(std::io::Error::other(
                 "write-ahead log failed; ingest is disabled until repair succeeds",
             ))));
             continue;
@@ -617,8 +580,7 @@ fn writer_loop(
                         // a 500, never a 400 suggesting their problems were
                         // bad
                         for job in accepted {
-                            let _ = job.reply.send(Err(MorerError::Io(std::io::Error::new(
-                                std::io::ErrorKind::Other,
+                            let _ = job.reply.send(Err(MorerError::Io(std::io::Error::other(
                                 "ingest commit panicked; the write path is disabled until restart",
                             ))));
                         }
@@ -650,10 +612,7 @@ fn writer_loop(
             };
             for (_, jobs) in pending {
                 for job in jobs {
-                    let _ = job.reply.send(Err(MorerError::Io(std::io::Error::new(
-                        std::io::ErrorKind::Other,
-                        reason,
-                    ))));
+                    let _ = job.reply.send(Err(MorerError::Io(std::io::Error::other(reason))));
                 }
             }
             if panicked {
@@ -694,165 +653,6 @@ fn writer_loop(
                     }
                 }
             }
-        }
-    }
-}
-
-/// One connection-accepting worker. The shared listener is non-blocking:
-/// workers poll `accept` at [`ServeConfig::poll_interval`] granularity, so
-/// shutdown needs no self-connection trick (which would hang on wildcard
-/// binds) and a persistent accept failure (e.g. fd exhaustion) backs off
-/// instead of spinning.
-fn worker_loop(
-    listener: &TcpListener,
-    state: &ServerState,
-    ingest_tx: &SyncSender<IngestJob>,
-    config: &ServeConfig,
-) {
-    let poll = config.poll_interval.max(Duration::from_millis(1));
-    loop {
-        if state.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(poll);
-                continue;
-            }
-            Err(_) => {
-                std::thread::sleep(poll);
-                continue;
-            }
-        };
-        // accepted sockets may inherit non-blocking mode on some platforms;
-        // connection handling relies on blocking reads with a timeout
-        state.metrics.conn_opened();
-        if stream.set_nonblocking(false).is_err() {
-            state.metrics.conn_closed();
-            continue;
-        }
-        handle_connection(stream, state, ingest_tx, config);
-        state.metrics.conn_closed();
-    }
-}
-
-/// Serve one (possibly keep-alive) connection until it closes, errors, or
-/// shutdown is requested. Protocol errors answer with a typed 4xx and
-/// close the connection — they never take the worker down.
-fn handle_connection(
-    mut stream: TcpStream,
-    state: &ServerState,
-    ingest_tx: &SyncSender<IngestJob>,
-    config: &ServeConfig,
-) {
-    let poll = config.poll_interval.max(Duration::from_millis(1));
-    if stream.set_read_timeout(Some(poll)).is_err()
-        || stream.set_write_timeout(Some(Duration::from_secs(10))).is_err()
-        || stream.set_nodelay(true).is_err()
-    {
-        return;
-    }
-    let limits = http::Limits {
-        max_header_bytes: config.max_header_bytes,
-        max_body_bytes: config.max_body_bytes,
-    };
-    let mut carry = Vec::new();
-    loop {
-        // per-request receive deadline: an idle or byte-trickling client is
-        // disconnected after idle_timeout instead of pinning this worker
-        let deadline = Instant::now() + config.idle_timeout;
-        let abort = || state.shutdown.load(Ordering::Acquire) || Instant::now() >= deadline;
-        match http::read_request(&mut stream, &mut carry, &limits, abort) {
-            Ok(request) => {
-                let mut keep_alive =
-                    request.keep_alive && !state.shutdown.load(Ordering::Acquire);
-                let started = Instant::now();
-                let mut trace = state.metrics.begin_trace();
-                // last line of defense behind decode-time validation: a
-                // handler panic answers 500 and closes this connection
-                // instead of silently shrinking the worker pool (dispatch
-                // only reads shared state, so continuing is safe)
-                let mut reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    dispatch(&request, state, ingest_tx, &mut trace)
-                }))
-                .unwrap_or_else(|_| {
-                    keep_alive = false;
-                    Reply::json(
-                        500,
-                        plain_error("internal", "request handler panicked"),
-                        Endpoint::Other,
-                    )
-                });
-                reply.headers.push((TRACE_HEADER.to_owned(), trace.id_hex()));
-                state.metrics.finish_trace(&mut trace, reply.endpoint, reply.status, started);
-                if http::write_response_with(
-                    &mut stream,
-                    reply.status,
-                    reply.content_type,
-                    &reply.headers,
-                    &reply.body,
-                    keep_alive,
-                )
-                .is_err()
-                    || !keep_alive
-                {
-                    return;
-                }
-            }
-            Err(RequestError::Closed) => {
-                // distinguish "reaped at the receive deadline" from client
-                // closes and shutdown for the connection gauges
-                if Instant::now() >= deadline && !state.shutdown.load(Ordering::Acquire) {
-                    state.metrics.conn_idle_reaped();
-                }
-                return;
-            }
-            Err(RequestError::Io(_)) => return,
-            Err(RequestError::Bad(msg)) => {
-                state.metrics.record(Endpoint::Other, Duration::ZERO, 400);
-                let body = plain_error("bad_request", &msg);
-                if http::write_response(&mut stream, 400, body.as_bytes(), false).is_ok() {
-                    drain_briefly(&mut stream);
-                }
-                return;
-            }
-            Err(RequestError::TooLarge { declared, max }) => {
-                state.metrics.record(Endpoint::Other, Duration::ZERO, 413);
-                let body = plain_error(
-                    "payload_too_large",
-                    &format!("declared body of {declared} bytes exceeds the {max} byte limit"),
-                );
-                if http::write_response(&mut stream, 413, body.as_bytes(), false).is_ok() {
-                    drain_briefly(&mut stream);
-                }
-                return;
-            }
-        }
-    }
-}
-
-/// After answering a protocol error the connection closes with the
-/// client's body possibly still in flight (a 413 is sent before the body
-/// is read at all). Dropping the socket with unread data in the receive
-/// buffer makes the kernel send RST, which can destroy the buffered error
-/// response before the client reads it — so shut down the write half and
-/// briefly drain/discard what is arriving until the client closes.
-fn drain_briefly(stream: &mut TcpStream) {
-    use std::io::Read;
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let deadline = Instant::now() + Duration::from_millis(250);
-    let mut tmp = [0u8; 4096];
-    while Instant::now() < deadline {
-        match stream.read(&mut tmp) {
-            Ok(0) => break, // client saw the response and closed its half
-            Ok(_) => {}     // discard in-flight body bytes
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
-            Err(_) => break,
         }
     }
 }
@@ -925,11 +725,29 @@ const ROUTES: [&str; 10] = [
 ];
 
 /// The value of `key` in a raw query string (`a=1&b=2`; no percent
-/// decoding — the shipping protocol only passes integers).
-fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
-    query
+/// decoding — these endpoints only take integers), parsed by `parse`.
+/// `Ok(None)` when the key is absent, so the caller's default applies; a
+/// present but unparsable value is the `400 bad_request` reply in `Err`
+/// — never silently replaced by the default.
+fn query_param<T>(
+    query: &str,
+    key: &str,
+    endpoint: Endpoint,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<Option<T>, Reply> {
+    let Some(raw) = query
         .split('&')
         .find_map(|kv| kv.split_once('=').filter(|(k, _)| *k == key).map(|(_, v)| v))
+    else {
+        return Ok(None);
+    };
+    parse(raw).map(Some).ok_or_else(|| {
+        Reply::json(
+            400,
+            plain_error("bad_request", &format!("malformed query parameter {key}={raw:?}")),
+            endpoint,
+        )
+    })
 }
 
 pub(crate) fn dispatch(
@@ -1232,7 +1050,12 @@ fn render_metrics(state: &ServerState) -> String {
 /// requests (`slow`), optionally filtered to one trace id (the
 /// `x-morer-trace-id` response-header value).
 fn trace_dump(state: &ServerState, query: &str) -> Reply {
-    let filter = query_param(query, "id").and_then(|v| u64::from_str_radix(v, 16).ok());
+    let filter = match query_param(query, "id", Endpoint::Trace, |v| {
+        u64::from_str_radix(v, 16).ok()
+    }) {
+        Ok(filter) => filter,
+        Err(bad) => return bad,
+    };
     let to_wire = |spans: Vec<Span>| -> Vec<TraceSpan> {
         spans
             .into_iter()
@@ -1264,21 +1087,22 @@ fn trace_dump(state: &ServerState, query: &str) -> Reply {
 /// * `409` when the offset or generation no longer exists on this leader
 ///   (compaction or restart truncated past it) — the follower must resync
 ///   from `GET /wal/base`;
+/// * `400` when `from`, `gen` or `max` is present but not an integer
+///   (absent ones default to the log start, generation 0 and 1 MiB);
 /// * `404` when this server ships no log (no `wal_dir`, or replica mode).
 fn wal_segment(state: &ServerState, query: &str) -> Reply {
+    let int = |key| query_param(query, key, Endpoint::Wal, |v| v.parse::<u64>().ok());
+    let (from, generation, max) = match (int("from"), int("gen"), int("max")) {
+        (Ok(from), Ok(generation), Ok(max)) => (
+            from.unwrap_or(HEADER_LEN),
+            generation.unwrap_or(0),
+            max.map_or(MAX_SEGMENT_BYTES, |max| max.min(MAX_SEGMENT_BYTES as u64) as usize),
+        ),
+        (Err(bad), ..) | (_, Err(bad), _) | (.., Err(bad)) => return bad,
+    };
     let (Some(dir), Some(wal)) = (state.wal_dir.as_ref(), state.durability()) else {
         return no_wal();
     };
-    let from = query_param(query, "from")
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(HEADER_LEN);
-    let generation = query_param(query, "gen")
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0);
-    let max = query_param(query, "max")
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(MAX_SEGMENT_BYTES)
-        .min(MAX_SEGMENT_BYTES);
     let meta = |log_len: u64| {
         vec![
             (HDR_GENERATION.to_owned(), wal.compactions.to_string()),
@@ -1368,7 +1192,7 @@ fn decode<T: Deserialize>(body: &[u8]) -> Result<T, MorerError> {
 
 /// Decode one problem and check the invariants the pipeline's inner loops
 /// index on — a well-typed but inconsistent body (labels shorter than
-/// pairs, say) must be a 400, not a panic in a worker thread.
+/// pairs, say) must be a 400, not a panic in a compute thread.
 fn decode_problem(body: &[u8]) -> Result<ErProblem, MorerError> {
     let problem: ErProblem = decode(body)?;
     problem.validate().map_err(MorerError::InvalidProblem)?;
@@ -1501,10 +1325,7 @@ fn ingest(ingest_tx: &SyncSender<IngestJob>, body: &[u8], trace: &mut Trace) -> 
 
 fn writer_gone() -> Reply {
     Reply::error(
-        &MorerError::Io(std::io::Error::new(
-            std::io::ErrorKind::Other,
-            "ingest writer thread is gone",
-        )),
+        &MorerError::Io(std::io::Error::other("ingest writer thread is gone")),
         Endpoint::Ingest,
     )
 }

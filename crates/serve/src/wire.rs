@@ -21,8 +21,7 @@ pub struct HealthResponse {
     /// the last applied epoch).
     pub status: String,
     /// The connection core serving this instance:
-    /// [`crate::config::ServeBackend::label`] (`"threaded"` or
-    /// `"reactor"`).
+    /// [`crate::config::ServeBackend::label`], always `"reactor"`.
     pub backend: String,
     /// The committed repository epoch the read path currently serves.
     pub epoch: u64,

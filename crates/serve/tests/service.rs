@@ -2,16 +2,17 @@
 //! concurrent clients must get solve results bit-identical to direct
 //! `ModelSearcher` calls, ingest-during-read must show monotone epochs and
 //! no torn responses, and malformed/oversized/unknown-route requests must
-//! map to typed 4xx responses without killing the worker that answered.
+//! map to typed 4xx responses without killing the thread that answered.
+//! Raw-socket tests pin the connection-level protocol: EOF mid-request,
+//! clean keep-alive closes, and the `100 Continue` interim response.
 //!
-//! The whole suite is backend-parameterized: servers start on
-//! [`ServeBackend::default`], which honors `MORER_SERVE_BACKEND`
-//! (`threaded` / `reactor`), so CI runs one binary against both
-//! connection cores. `cross_backend_solves_are_bit_identical` additionally
-//! pins both backends explicitly in a single run, whatever the env says.
-//! Every client connects through [`Connection::open_timeout`] — a stalled
-//! server under test must fail an assertion, not hang CI forever.
+//! Every client connects through [`Connection::open_timeout`] (raw
+//! sockets set a read timeout) — a stalled server under test must fail an
+//! assertion, not hang CI forever.
 
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::path::PathBuf;
 use std::time::Duration;
 
 use morer_core::config::{MorerConfig, TrainingMode};
@@ -23,7 +24,7 @@ use morer_data::ErProblem;
 use morer_ml::dataset::FeatureMatrix;
 use morer_ml::model::ModelConfig;
 use morer_serve::{
-    Connection, ErrorEnvelope, HealthResponse, MorerServer, ServeBackend, ServeConfig,
+    Connection, ErrorEnvelope, HealthResponse, MorerServer, ServeConfig, ServerHandle,
     StatsResponse,
 };
 
@@ -43,14 +44,6 @@ fn built_morer() -> Morer {
     Morer::build(refs, &config()).0
 }
 
-fn serve_config() -> ServeConfig {
-    ServeConfig {
-        workers: 3,
-        poll_interval: Duration::from_millis(10),
-        ..ServeConfig::default()
-    }
-}
-
 /// Open a test client with a receive/send deadline: a stalled server
 /// fails the test instead of hanging it.
 fn connect(addr: std::net::SocketAddr) -> Connection {
@@ -68,7 +61,7 @@ fn assert_outcomes_equal(a: &SolveOutcome, b: &SolveOutcome, context: &str) {
 fn health_and_stats_report_server_state() {
     let morer = built_morer();
     let models = morer.num_models();
-    let handle = MorerServer::start(morer, &serve_config()).unwrap();
+    let handle = MorerServer::start(morer, &ServeConfig::default()).unwrap();
     let mut conn = connect(handle.addr());
 
     let res = conn.get("/healthz").unwrap();
@@ -101,7 +94,7 @@ fn health_and_stats_report_server_state() {
 fn concurrent_clients_get_solves_bit_identical_to_in_process() {
     let morer = built_morer();
     let searcher = morer.searcher().clone();
-    let handle = MorerServer::start(morer, &serve_config()).unwrap();
+    let handle = MorerServer::start(morer, &ServeConfig::default()).unwrap();
 
     let queries: Vec<ErProblem> = (0..6)
         .map(|i| family_problem(100 + i, (i % 2) as u8, 80))
@@ -143,7 +136,7 @@ fn concurrent_clients_get_solves_bit_identical_to_in_process() {
 fn search_and_solve_batch_match_the_searcher_api() {
     let morer = built_morer();
     let searcher = morer.searcher().clone();
-    let handle = MorerServer::start(morer, &serve_config()).unwrap();
+    let handle = MorerServer::start(morer, &ServeConfig::default()).unwrap();
     let mut conn = connect(handle.addr());
 
     let q = family_problem(200, 0, 80);
@@ -177,7 +170,7 @@ fn ingest_commits_a_new_epoch_and_the_read_path_serves_it() {
     // a twin writer replays the same ingest in-process: the server's
     // committed state must match it bit-for-bit
     let mut twin = morer.clone();
-    let handle = MorerServer::start(morer, &serve_config()).unwrap();
+    let handle = MorerServer::start(morer, &ServeConfig::default()).unwrap();
     let epoch_before = handle.epoch();
     let mut conn = connect(handle.addr());
 
@@ -220,7 +213,7 @@ fn readers_stay_consistent_while_ingest_commits() {
     let morer = built_morer();
     let pre = morer.searcher().clone();
     let mut twin = morer.clone();
-    let handle = MorerServer::start(morer, &serve_config()).unwrap();
+    let handle = MorerServer::start(morer, &ServeConfig::default()).unwrap();
 
     let q = family_problem(400, 1, 100);
     let q_body = serde_json::to_string(&q).unwrap();
@@ -321,7 +314,7 @@ fn readers_stay_consistent_while_ingest_commits() {
 fn concurrent_ingests_partition_into_commits() {
     let morer = built_morer();
     let base_epoch = morer.epoch();
-    let handle = MorerServer::start(morer, &serve_config()).unwrap();
+    let handle = MorerServer::start(morer, &ServeConfig::default()).unwrap();
     let n_clients = 4;
     let addr = handle.addr();
     let reports: Vec<IngestReport> = std::thread::scope(|scope| {
@@ -360,7 +353,7 @@ fn protocol_errors_are_typed_4xx_and_never_kill_the_worker() {
     let morer = built_morer();
     let handle = MorerServer::start(
         morer,
-        &ServeConfig { max_body_bytes: 4096, ..serve_config() },
+        &ServeConfig { max_body_bytes: 4096, ..ServeConfig::default() },
     )
     .unwrap();
     let addr = handle.addr();
@@ -406,7 +399,7 @@ fn protocol_errors_are_typed_4xx_and_never_kill_the_worker() {
     assert_eq!(res.status, 400);
     assert!(!res.keep_alive);
 
-    // all workers survived the abuse: fresh connections still served, and
+    // the server survived the abuse: fresh connections still served, and
     // the error counters saw every 4xx
     let mut conn = connect(addr);
     let res = conn.get("/stats").unwrap();
@@ -421,12 +414,12 @@ fn protocol_errors_are_typed_4xx_and_never_kill_the_worker() {
 
 /// Well-typed but internally inconsistent problems (the pipeline's inner
 /// loops index on cross-field invariants) and feature-space mismatches
-/// must be 400s — never panics that kill a read worker or, worse, the
+/// must be 400s — never panics that kill a compute thread or, worse, the
 /// single writer thread.
 #[test]
 fn inconsistent_and_mismatched_problems_are_rejected_without_killing_threads() {
     let morer = built_morer(); // scores 2 features
-    let handle = MorerServer::start(morer, &serve_config()).unwrap();
+    let handle = MorerServer::start(morer, &ServeConfig::default()).unwrap();
     let mut conn = connect(handle.addr());
 
     // labels shorter than pairs (constructible: the fields are public) —
@@ -494,7 +487,7 @@ fn inconsistent_and_mismatched_problems_are_rejected_without_killing_threads() {
 #[test]
 fn empty_repository_serves_typed_404_search_and_degraded_solve() {
     let morer = Morer::from_repository(ModelRepository::default(), &config());
-    let handle = MorerServer::start(morer, &serve_config()).unwrap();
+    let handle = MorerServer::start(morer, &ServeConfig::default()).unwrap();
     let mut conn = connect(handle.addr());
     let q = family_problem(600, 0, 60);
     let body = serde_json::to_string(&q).unwrap();
@@ -529,7 +522,7 @@ fn acknowledged_durable_ingests_survive_a_simulated_kill() {
         let _ = std::fs::remove_dir_all(d);
         std::fs::create_dir_all(d).unwrap();
     }
-    let cfg = ServeConfig { wal_dir: Some(dir.clone()), ..serve_config() };
+    let cfg = ServeConfig { wal_dir: Some(dir.clone()), ..ServeConfig::default() };
     let handle = MorerServer::start(built_morer(), &cfg).unwrap();
     let mut conn = connect(handle.addr());
 
@@ -577,48 +570,40 @@ fn acknowledged_durable_ingests_survive_a_simulated_kill() {
     }
 }
 
-/// Whatever `MORER_SERVE_BACKEND` says, pin each backend explicitly and
-/// assert both serve the *same bytes*: solve responses bit-identical to
-/// each other and to the in-process searcher, and `/healthz` reporting
-/// the backend it actually runs.
+/// The serving contract in one test: `/healthz` names the connection
+/// core, and every `/solve` answer is bit-identical to the in-process
+/// `ModelSearcher::solve` on the same epoch.
 #[test]
-fn cross_backend_solves_are_bit_identical() {
-    let mut backends = vec![ServeBackend::Threaded];
-    if cfg!(target_os = "linux") {
-        backends.push(ServeBackend::Reactor);
-    }
+fn served_solves_are_bit_identical_to_in_process() {
     let morer = built_morer();
     let searcher = morer.searcher().clone();
     let queries: Vec<ErProblem> =
         (0..4).map(|i| family_problem(900 + i, (i % 2) as u8, 80)).collect();
     let reference: Vec<SolveOutcome> = queries.iter().map(|q| searcher.solve(q)).collect();
 
-    for backend in backends {
-        let cfg = ServeConfig { backend, ..serve_config() };
-        let handle = MorerServer::start(morer.clone(), &cfg).unwrap();
-        let mut conn = connect(handle.addr());
-        let health: HealthResponse =
-            serde_json::from_str(&conn.get("/healthz").unwrap().body).unwrap();
-        assert_eq!(health.backend, backend.label());
-        for (q, direct) in queries.iter().zip(&reference) {
-            let res = conn.post("/solve", &serde_json::to_string(q).unwrap()).unwrap();
-            assert_eq!(res.status, 200, "{}", res.body);
-            let served: SolveOutcome = serde_json::from_str(&res.body).unwrap();
-            assert_outcomes_equal(&served, direct, &format!("{} solve", backend.label()));
-        }
-        handle.shutdown();
+    let handle = MorerServer::start(morer, &ServeConfig::default()).unwrap();
+    let mut conn = connect(handle.addr());
+    let health: HealthResponse =
+        serde_json::from_str(&conn.get("/healthz").unwrap().body).unwrap();
+    assert_eq!(health.backend, "reactor");
+    for (q, direct) in queries.iter().zip(&reference) {
+        let res = conn.post("/solve", &serde_json::to_string(q).unwrap()).unwrap();
+        assert_eq!(res.status, 200, "{}", res.body);
+        let served: SolveOutcome = serde_json::from_str(&res.body).unwrap();
+        assert_outcomes_equal(&served, direct, "served solve");
     }
+    handle.shutdown();
 }
 
 #[test]
 fn graceful_shutdown_joins_all_threads_and_closes_connections() {
     let morer = built_morer();
-    let handle = MorerServer::start(morer, &serve_config()).unwrap();
+    let handle = MorerServer::start(morer, &ServeConfig::default()).unwrap();
     let addr = handle.addr();
     let mut conn = connect(addr);
     assert_eq!(conn.get("/healthz").unwrap().status, 200);
-    // shutdown() joins every worker and the writer; it must not hang on
-    // the idle keep-alive connection we still hold
+    // shutdown() joins every serving thread and the writer; it must not
+    // hang on the idle keep-alive connection we still hold
     handle.shutdown();
     // the held connection is dead now: the next request fails instead of
     // hanging (the server closed its end)
@@ -633,7 +618,7 @@ fn graceful_shutdown_joins_all_threads_and_closes_connections() {
 #[test]
 fn metrics_exposition_is_valid_and_covers_the_pipeline() {
     let morer = built_morer();
-    let handle = MorerServer::start(morer, &serve_config()).unwrap();
+    let handle = MorerServer::start(morer, &ServeConfig::default()).unwrap();
     let mut conn = connect(handle.addr());
 
     // drive every class: a 2xx solve, a 4xx parse error
@@ -717,7 +702,7 @@ fn slow_requests_are_traced_and_fast_ones_skip_the_slow_log() {
     let morer = built_morer();
     // a fat ingest batch (recluster + retrain + commit over 8 new
     // problems) reliably exceeds 2ms; healthz reliably stays under it
-    let cfg = ServeConfig { slow_request_micros: 2_000, ..serve_config() };
+    let cfg = ServeConfig { slow_request_micros: 2_000, ..ServeConfig::default() };
     let handle = MorerServer::start(morer, &cfg).unwrap();
     let mut conn = connect(handle.addr());
 
@@ -764,5 +749,188 @@ fn slow_requests_are_traced_and_fast_ones_skip_the_slow_log() {
         "fast request leaked into the slow ring: {:?}",
         dump.slow
     );
+    handle.shutdown();
+}
+
+/// A raw client socket whose reads fail after 30 s instead of hanging.
+fn raw_socket(addr: SocketAddr) -> TcpStream {
+    let sock = TcpStream::connect(addr).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    sock
+}
+
+/// Read exactly one response off `sock`: its head (status line and
+/// headers) and its `Content-Length` body.
+fn read_response(sock: &mut TcpStream) -> (String, Vec<u8>) {
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        if let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            let head = String::from_utf8(buf[..head_end].to_vec()).unwrap();
+            let length: usize = head
+                .lines()
+                .find_map(|l| l.strip_prefix("Content-Length: "))
+                .map_or(0, |v| v.parse().unwrap());
+            if buf.len() >= head_end + 4 + length {
+                assert_eq!(buf.len(), head_end + 4 + length, "bytes beyond one response");
+                return (head, buf.split_off(head_end + 4));
+            }
+        }
+        let n = sock.read(&mut chunk).unwrap();
+        assert!(n > 0, "server closed mid-response: {:?}", String::from_utf8_lossy(&buf));
+        buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
+/// Send `raw`, half-close the write side, and return everything the
+/// server sends until it closes the connection.
+fn half_close_exchange(addr: SocketAddr, raw: &[u8]) -> String {
+    let mut sock = raw_socket(addr);
+    sock.write_all(raw).unwrap();
+    sock.shutdown(Shutdown::Write).unwrap();
+    let mut out = Vec::new();
+    sock.read_to_end(&mut out).unwrap();
+    String::from_utf8(out).unwrap()
+}
+
+/// EOF inside a request head earns a typed 400 naming the truncation,
+/// then the connection closes.
+#[test]
+fn half_close_mid_head_answers_400_closed_mid_request() {
+    let handle = MorerServer::start(built_morer(), &ServeConfig::default()).unwrap();
+    let out = half_close_exchange(handle.addr(), b"GET /healthz HT");
+    assert!(out.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{out}");
+    assert!(out.contains("Connection: close\r\n"), "{out}");
+    let body = &out[out.find("\r\n\r\n").unwrap() + 4..];
+    let env: ErrorEnvelope = serde_json::from_str(body).unwrap();
+    assert_eq!(env.error.kind, "bad_request");
+    assert_eq!(env.error.message, "connection closed mid-request");
+    handle.shutdown();
+}
+
+/// EOF after a complete head but before the declared body is complete
+/// earns a typed 400 naming the truncated body.
+#[test]
+fn half_close_mid_body_answers_400_closed_mid_body() {
+    let handle = MorerServer::start(built_morer(), &ServeConfig::default()).unwrap();
+    let out = half_close_exchange(
+        handle.addr(),
+        b"POST /solve HTTP/1.1\r\nContent-Length: 50\r\n\r\n{\"id\"",
+    );
+    assert!(out.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{out}");
+    let body = &out[out.find("\r\n\r\n").unwrap() + 4..];
+    let env: ErrorEnvelope = serde_json::from_str(body).unwrap();
+    assert_eq!(env.error.kind, "bad_request");
+    assert_eq!(env.error.message, "connection closed mid-body");
+    handle.shutdown();
+}
+
+/// A client that closes between requests ends the keep-alive connection
+/// cleanly: no further bytes, and no 4xx counted anywhere.
+#[test]
+fn clean_close_after_a_keep_alive_response_sends_nothing_and_counts_no_4xx() {
+    let handle = MorerServer::start(built_morer(), &ServeConfig::default()).unwrap();
+    let mut sock = raw_socket(handle.addr());
+    sock.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+    let (head, _) = read_response(&mut sock);
+    assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
+    assert!(head.contains("Connection: keep-alive\r\n"), "{head}");
+    sock.shutdown(Shutdown::Write).unwrap();
+    let mut after = Vec::new();
+    sock.read_to_end(&mut after).unwrap();
+    assert!(after.is_empty(), "clean close earned bytes: {:?}", String::from_utf8_lossy(&after));
+
+    let stats: StatsResponse =
+        serde_json::from_str(&connect(handle.addr()).get("/stats").unwrap().body).unwrap();
+    for e in &stats.endpoints {
+        assert_eq!(e.status_4xx, 0, "{e:?}");
+    }
+    handle.shutdown();
+}
+
+/// `Expect: 100-continue` gets exactly one interim response, before the
+/// body is sent, and then the real answer.
+#[test]
+fn expect_100_continue_gets_one_interim_response_before_the_200() {
+    let morer = built_morer();
+    let searcher = morer.searcher().clone();
+    let handle = MorerServer::start(morer, &ServeConfig::default()).unwrap();
+    let q = family_problem(950, 1, 80);
+    let body = serde_json::to_string(&q).unwrap();
+
+    let mut sock = raw_socket(handle.addr());
+    let head = format!(
+        "POST /solve HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    );
+    sock.write_all(head.as_bytes()).unwrap();
+    let interim = b"HTTP/1.1 100 Continue\r\n\r\n";
+    let mut got = vec![0u8; interim.len()];
+    sock.read_exact(&mut got).unwrap();
+    assert_eq!(got, interim);
+
+    sock.write_all(body.as_bytes()).unwrap();
+    let (head, response) = read_response(&mut sock);
+    assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
+    let served: SolveOutcome =
+        serde_json::from_str(std::str::from_utf8(&response).unwrap()).unwrap();
+    assert_outcomes_equal(&served, &searcher.solve(&q), "solve after 100 Continue");
+    // nothing else was sent: no second interim response
+    sock.shutdown(Shutdown::Write).unwrap();
+    let mut after = Vec::new();
+    sock.read_to_end(&mut after).unwrap();
+    assert!(after.is_empty(), "unexpected bytes: {:?}", String::from_utf8_lossy(&after));
+    handle.shutdown();
+}
+
+/// A durable leader (so `/wal` has a log to ship) in a fresh directory.
+fn wal_leader(tag: &str) -> (ServerHandle, PathBuf) {
+    let dir = std::env::temp_dir()
+        .join(format!("morer_serve_wal_{}_{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let cfg = ServeConfig { wal_dir: Some(dir.clone()), ..ServeConfig::default() };
+    (MorerServer::start(built_morer(), &cfg).unwrap(), dir)
+}
+
+/// `path` answers a typed 400, while `control` (the same request with the
+/// parameter absent or well-formed) answers 200.
+fn assert_bad_query(addr: SocketAddr, path: &str, control: &str) {
+    let mut conn = connect(addr);
+    let res = conn.get(path).unwrap();
+    assert_eq!(res.status, 400, "{path}: {}", res.body);
+    let env: ErrorEnvelope = serde_json::from_str(&res.body).unwrap();
+    assert_eq!(env.error.kind, "bad_request", "{path}");
+    assert_eq!(conn.get(control).unwrap().status, 200, "{control}");
+}
+
+#[test]
+fn wal_rejects_a_malformed_from_offset() {
+    let (handle, dir) = wal_leader("bad_from");
+    assert_bad_query(handle.addr(), "/wal?from=abc&gen=0", "/wal?gen=0");
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn wal_rejects_a_malformed_generation() {
+    let (handle, dir) = wal_leader("bad_gen");
+    assert_bad_query(handle.addr(), "/wal?from=12&gen=x1", "/wal?from=12");
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn wal_rejects_a_malformed_max() {
+    let (handle, dir) = wal_leader("bad_max");
+    assert_bad_query(handle.addr(), "/wal?from=12&gen=0&max=-1", "/wal?from=12&gen=0&max=64");
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn trace_dump_rejects_a_malformed_id() {
+    let handle = MorerServer::start(built_morer(), &ServeConfig::default()).unwrap();
+    assert_bad_query(handle.addr(), "/debug/trace?id=zz", "/debug/trace?id=00ff");
     handle.shutdown();
 }

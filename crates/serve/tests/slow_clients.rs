@@ -1,15 +1,11 @@
-//! Slow-client suite (ISSUE 9 satellite): idle keep-alive floods and
-//! slowloris-style byte-trickling must not starve the serve core.
+//! Slow-client suite: idle keep-alive floods and slowloris-style
+//! byte-trickling must not starve the serve core.
 //!
-//! The reactor backend's whole reason to exist is exercised here: with
-//! N ≫ `workers` idle connections parked, solves must still complete —
-//! bit-identical to in-process answers — *without* waiting for any idle
-//! connection to be reaped. The threaded backend cannot do that (each
-//! parked connection pins a worker), but it must recover: idle
-//! connections are disconnected at `idle_timeout` and the queued request
-//! is then served. Both backends must count reaps in the `idle_reaped`
-//! gauge and disconnect a slowloris (partial request head, then silence)
-//! at the deadline.
+//! With many more idle connections parked than there are serving
+//! threads, solves must still complete — bit-identical to in-process
+//! answers — *without* waiting for any idle connection to be reaped.
+//! Reaps are counted in the `idle_reaped` gauge, and a slowloris (partial
+//! request head, then silence) is disconnected at the deadline.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -21,7 +17,7 @@ use morer_core::searcher::SolveOutcome;
 use morer_core::testutil::family_problem;
 use morer_data::ErProblem;
 use morer_ml::model::ModelConfig;
-use morer_serve::{Connection, MorerServer, ServeBackend, ServeConfig, StatsResponse};
+use morer_serve::{Connection, MorerServer, ServeConfig, StatsResponse};
 
 fn config() -> MorerConfig {
     MorerConfig {
@@ -67,24 +63,19 @@ fn await_reaps(addr: std::net::SocketAddr, target: u64, within: Duration) -> u64
     }
 }
 
-/// Tentpole acceptance: with far more idle connections parked than the
-/// threaded pool could ever hold, the reactor answers concurrent solves
-/// bit-identically and immediately — no reap had to free capacity first —
-/// and then reaps every parked connection at the idle deadline.
+/// With far more idle connections parked than the server has threads,
+/// the reactor answers concurrent solves bit-identically and immediately
+/// — no reap had to free capacity first — and then reaps every parked
+/// connection at the idle deadline.
 #[test]
-#[cfg(target_os = "linux")]
 fn reactor_solves_are_not_starved_by_parked_idle_connections() {
     let morer = built_morer();
     let searcher = morer.searcher().clone();
-    let cfg = ServeConfig {
-        backend: ServeBackend::Reactor,
-        idle_timeout: Duration::from_secs(2),
-        ..ServeConfig::default()
-    };
+    let cfg = ServeConfig { idle_timeout: Duration::from_secs(2), ..ServeConfig::default() };
     let handle = MorerServer::start(morer, &cfg).unwrap();
     let addr = handle.addr();
 
-    let n_idle = 64; // ≫ any thread pool this repo configures
+    let n_idle = 64; // ≫ the reactor + compute thread count
     let parked = park_idle(addr, n_idle);
 
     let queries: Vec<ErProblem> =
@@ -115,7 +106,7 @@ fn reactor_solves_are_not_starved_by_parked_idle_connections() {
     });
 
     // the solves above finished with every parked connection still open:
-    // capacity did not come from reaping (the threaded pool's only out)
+    // capacity did not come from reaping
     let snap = stats(addr);
     assert_eq!(snap.connections.idle_reaped, 0, "solves must not wait for reaps");
     assert!(
@@ -131,122 +122,52 @@ fn reactor_solves_are_not_starved_by_parked_idle_connections() {
     handle.shutdown();
 }
 
-/// The threaded fallback under the same flood: solves stall while every
-/// worker is pinned by a parked connection, but the idle deadline frees
-/// the pool and the queued request is then served bit-identically.
+/// Slowloris: a client that sends a partial request head and then
+/// trickles nothing more is disconnected at `idle_timeout` (no response —
+/// there is no request to answer) and counted as reaped.
 #[test]
-fn threaded_pool_recovers_from_parked_connections_by_reaping() {
-    let morer = built_morer();
-    let searcher = morer.searcher().clone();
-    let cfg = ServeConfig {
-        backend: ServeBackend::Threaded,
-        workers: 2,
-        poll_interval: Duration::from_millis(10),
-        idle_timeout: Duration::from_millis(250),
-        ..ServeConfig::default()
-    };
-    let handle = MorerServer::start(morer, &cfg).unwrap();
+fn slowloris_partial_heads_are_reaped_at_the_deadline() {
+    let cfg = ServeConfig { idle_timeout: Duration::from_millis(250), ..ServeConfig::default() };
+    let handle = MorerServer::start(built_morer(), &cfg).unwrap();
     let addr = handle.addr();
 
-    let n_idle = 8; // ≫ workers: every worker is pinned, the rest queue
-    let parked = park_idle(addr, n_idle);
-
-    let q = family_problem(200, 0, 80);
-    let direct = searcher.solve(&q);
+    let mut sock = TcpStream::connect(addr).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    sock.write_all(b"POST /solve HTTP/1.1\r\nContent-Le").unwrap();
     let started = Instant::now();
+    // the server must close the connection (EOF) at the deadline
+    let mut sink = Vec::new();
+    sock.read_to_end(&mut sink).expect("server never closed the slowloris");
+    let waited = started.elapsed();
+    assert!(sink.is_empty(), "a partial head earned a response: {sink:?}");
+    assert!(waited >= cfg.idle_timeout / 2, "disconnected before the deadline ({waited:?})");
+    assert!(waited < Duration::from_secs(5), "reap far too late ({waited:?})");
+    let reaped = await_reaps(addr, 1, Duration::from_secs(5));
+    assert!(reaped >= 1, "slowloris reap not counted");
+
+    // the server is unharmed: fresh connections still answer
     let mut conn = connect(addr);
-    let res = conn.post("/solve", &serde_json::to_string(&q).unwrap()).unwrap();
-    assert_eq!(res.status, 200, "{}", res.body);
-    let served: SolveOutcome = serde_json::from_str(&res.body).unwrap();
-    assert_eq!(served, direct, "post-reap solve diverged from in-process");
-    // the answer could only arrive after at least one reap freed a worker
-    assert!(
-        started.elapsed() >= cfg.idle_timeout / 2,
-        "a 2-worker pool with {n_idle} parked connections answered implausibly fast"
-    );
-    assert!(stats(addr).connections.idle_reaped >= 1, "reaps must be counted");
-    drop(parked);
+    assert_eq!(conn.get("/healthz").unwrap().status, 200);
     handle.shutdown();
 }
 
-/// Slowloris on both backends: a client that sends a partial request head
-/// and then trickles nothing more is disconnected at `idle_timeout` (no
-/// response — there is no request to answer) and counted as reaped.
-#[test]
-fn slowloris_partial_heads_are_reaped_at_the_deadline() {
-    let mut backends = vec![ServeBackend::Threaded];
-    if cfg!(target_os = "linux") {
-        backends.push(ServeBackend::Reactor);
-    }
-    for backend in backends {
-        let cfg = ServeConfig {
-            backend,
-            workers: 2,
-            poll_interval: Duration::from_millis(10),
-            idle_timeout: Duration::from_millis(250),
-            ..ServeConfig::default()
-        };
-        let handle = MorerServer::start(built_morer(), &cfg).unwrap();
-        let addr = handle.addr();
-        let label = backend.label();
-
-        let mut sock = TcpStream::connect(addr).unwrap();
-        sock.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        sock.write_all(b"POST /solve HTTP/1.1\r\nContent-Le").unwrap();
-        let started = Instant::now();
-        // the server must close the connection (EOF) at the deadline
-        let mut sink = Vec::new();
-        sock.read_to_end(&mut sink).expect("server never closed the slowloris");
-        let waited = started.elapsed();
-        assert!(sink.is_empty(), "{label}: a partial head earned a response: {sink:?}");
-        assert!(
-            waited >= cfg.idle_timeout / 2,
-            "{label}: disconnected before the deadline ({waited:?})"
-        );
-        assert!(
-            waited < Duration::from_secs(5),
-            "{label}: reap far too late ({waited:?})"
-        );
-        let reaped = await_reaps(addr, 1, Duration::from_secs(5));
-        assert!(reaped >= 1, "{label}: slowloris reap not counted");
-
-        // the server is unharmed: fresh connections still answer
-        let mut conn = connect(addr);
-        assert_eq!(conn.get("/healthz").unwrap().status, 200, "{label}");
-        handle.shutdown();
-    }
-}
-
 /// Idle keep-alive connections that already served a request are re-armed
-/// and reaped at the *next* idle deadline, on both backends.
+/// and reaped at the *next* idle deadline.
 #[test]
 fn idle_keep_alive_connections_are_reaped_after_their_request() {
-    let mut backends = vec![ServeBackend::Threaded];
-    if cfg!(target_os = "linux") {
-        backends.push(ServeBackend::Reactor);
-    }
-    for backend in backends {
-        let cfg = ServeConfig {
-            backend,
-            workers: 2,
-            poll_interval: Duration::from_millis(10),
-            idle_timeout: Duration::from_millis(250),
-            ..ServeConfig::default()
-        };
-        let handle = MorerServer::start(built_morer(), &cfg).unwrap();
-        let addr = handle.addr();
-        let label = backend.label();
+    let cfg = ServeConfig { idle_timeout: Duration::from_millis(250), ..ServeConfig::default() };
+    let handle = MorerServer::start(built_morer(), &cfg).unwrap();
+    let addr = handle.addr();
 
-        // one served request, then silence: the keep-alive connection is
-        // live (the server said keep-alive) until the idle deadline
-        let mut conn = connect(addr);
-        let res = conn.get("/healthz").unwrap();
-        assert_eq!(res.status, 200, "{label}");
-        assert!(res.keep_alive, "{label}");
-        let reaped = await_reaps(addr, 1, Duration::from_secs(5));
-        assert!(reaped >= 1, "{label}: idle keep-alive connection never reaped");
-        // the reaped connection is dead: the next request on it fails
-        assert!(conn.get("/healthz").is_err(), "{label}: reaped connection still answered");
-        handle.shutdown();
-    }
+    // one served request, then silence: the keep-alive connection is live
+    // (the server said keep-alive) until the idle deadline
+    let mut conn = connect(addr);
+    let res = conn.get("/healthz").unwrap();
+    assert_eq!(res.status, 200);
+    assert!(res.keep_alive);
+    let reaped = await_reaps(addr, 1, Duration::from_secs(5));
+    assert!(reaped >= 1, "idle keep-alive connection never reaped");
+    // the reaped connection is dead: the next request on it fails
+    assert!(conn.get("/healthz").is_err(), "reaped connection still answered");
+    handle.shutdown();
 }

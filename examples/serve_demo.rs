@@ -34,7 +34,7 @@ fn main() -> std::io::Result<()> {
     // micro-batch through a single writer thread
     let handle = MorerServer::start(morer, &ServeConfig::default())?;
     let addr = handle.addr();
-    println!("serving on http://{addr}  (4 workers + 1 writer). curl cheatsheet:");
+    println!("serving on http://{addr}  (reactor + compute pool + 1 writer). curl cheatsheet:");
     println!("  curl http://{addr}/healthz");
     println!("  curl http://{addr}/stats");
     println!("  curl -X POST --data @problem.json http://{addr}/search");
@@ -94,7 +94,7 @@ fn main() -> std::io::Result<()> {
         );
     }
 
-    // 8. done: joins the workers and the writer; queued ingests commit first
+    // 8. done: joins the serving threads and the writer; queued ingests commit first
     handle.shutdown();
     println!("\nserver shut down cleanly");
     Ok(())
