@@ -101,12 +101,12 @@ impl AlmserAl {
             Some(l) => l,
             None => proba[row] >= 0.5,
         };
-        for row in 0..n_rows {
+        for (row, &p) in proba.iter().enumerate() {
             if positive(row) {
                 let (a, b) = pool.pairs[row];
                 let (ia, ib) = (record_index[&a], record_index[&b]);
                 if ia != ib {
-                    g.add_edge(ia, ib, proba[row].max(0.05));
+                    g.add_edge(ia, ib, p.max(0.05));
                 }
             }
         }

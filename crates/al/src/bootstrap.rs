@@ -15,6 +15,11 @@ use crate::uniqueness::UniquenessIndex;
 use crate::ActiveLearner;
 use morer_ml::sampling::bootstrap_sample;
 use morer_ml::tree::{DecisionTree, DecisionTreeConfig};
+use morer_sim::par;
+
+/// Fewest unlabeled rows worth a scoring thread: with the default committee
+/// of 100 trees a row costs about a microsecond to score.
+const SCORE_CHUNK: usize = 1024;
 
 /// Configuration for [`BootstrapAl`].
 #[derive(Debug, Clone)]
@@ -60,6 +65,10 @@ impl BootstrapAl {
     }
 
     /// Train the committee and return each unlabeled row's vote fraction.
+    ///
+    /// Trees are fitted, and rows scored, on `par` worker threads. Tree `i`
+    /// draws from its own index-derived seed, so the votes do not depend on
+    /// which thread fits which tree.
     fn committee_votes(&self, pool: &AlPool, unlabeled: &[usize], round: u64) -> Vec<f64> {
         let training = pool.training_set();
         let tree_config = DecisionTreeConfig {
@@ -68,8 +77,8 @@ impl BootstrapAl {
             min_samples_leaf: 1,
             max_features: None,
         };
-        let committee: Vec<DecisionTree> = (0..self.config.committee_size.max(1))
-            .map(|i| {
+        let committee: Vec<DecisionTree> =
+            par::map_indexed(self.config.committee_size.max(1), 1, |i| {
                 let mut rng = SmallRng::seed_from_u64(
                     self.config
                         .seed
@@ -78,16 +87,12 @@ impl BootstrapAl {
                 );
                 let sample = bootstrap_sample(&training, &mut rng);
                 DecisionTree::fit(&sample, &tree_config, &mut rng)
-            })
-            .collect();
-        unlabeled
-            .iter()
-            .map(|&row| {
-                let x = pool.features.row(row);
-                let votes = committee.iter().filter(|t| t.predict(x)).count();
-                votes as f64 / committee.len() as f64
-            })
-            .collect()
+            });
+        par::map_indexed(unlabeled.len(), SCORE_CHUNK, |j| {
+            let x = pool.features.row(unlabeled[j]);
+            let votes = committee.iter().filter(|t| t.predict(x)).count();
+            votes as f64 / committee.len() as f64
+        })
     }
 }
 
@@ -129,8 +134,8 @@ impl ActiveLearner for BootstrapAl {
             let remaining = budget - spent(pool);
             let take = self.config.batch_size.max(1).min(remaining);
             // If the committee is certain about everything (all scores 0),
-            // fall back to the most match-like unlabeled rows to keep
-            // spending the budget deterministically.
+            // the tie-break on row index takes the lowest-numbered unlabeled
+            // rows, which keeps spending the budget deterministically.
             for &(row, _) in scored.iter().take(take) {
                 pool.query(row);
             }
@@ -289,6 +294,48 @@ mod tests {
         let a = base.select(&mut pool_a, 40);
         let b = weighted.select(&mut pool_b, 40);
         assert_ne!(a.selected_rows, b.selected_rows);
+    }
+
+    /// The rows picked on a fixed pool with ties, both zeros and label
+    /// noise, recorded from the per-node-sort, sequential-committee tree
+    /// code: faster kernels must pick exactly the same rows.
+    #[test]
+    fn selection_is_pinned_across_commits() {
+        let n = 300;
+        let mut features = FeatureMatrix::new(3);
+        let mut labels = Vec::new();
+        let mut pairs = Vec::new();
+        for i in 0..n {
+            let a = ((i * 37) % 20) as f64 / 20.0;
+            let b = ((i * 11) % 8) as f64 / 8.0;
+            let c = if i % 7 == 0 { -0.0 } else { ((i * 5) % 13) as f64 / 13.0 };
+            features.push_row(&[a, b, c]);
+            labels.push(a + 0.5 * b > 0.8 || i % 17 == 0);
+            pairs.push((i as u32, (i + n) as u32));
+        }
+        let p = ErProblem {
+            id: 0,
+            sources: (0, 1),
+            pairs,
+            features,
+            labels,
+            feature_names: vec!["a".into(), "b".into(), "c".into()],
+        };
+        let mut pool = AlPool::from_problems(&[&p]);
+        let al = BootstrapAl::new(BootstrapConfig {
+            committee_size: 25,
+            seed_size: 10,
+            batch_size: 10,
+            ..Default::default()
+        });
+        let result = al.select(&mut pool, 60);
+        let expected = [
+            0, 3, 4, 8, 13, 14, 17, 23, 24, 26, 28, 31, 37, 40, 43, 44, 57, 60, 63, 64, 68, 71, 73,
+            83, 86, 97, 101, 103, 104, 108, 109, 112, 114, 120, 122, 123, 126, 127, 133, 137, 140,
+            143, 144, 148, 163, 177, 183, 184, 188, 217, 224, 228, 257, 260, 264, 268, 273, 280,
+            297, 299,
+        ];
+        assert_eq!(result.selected_rows, expected);
     }
 
     #[test]

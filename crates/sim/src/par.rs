@@ -1,10 +1,11 @@
 //! Minimal data-parallel helpers built on scoped `std::thread`.
 //!
 //! The workspace's only parallelism primitive (there is no rayon): the
-//! featurization hot path and the distribution analysis use these helpers
-//! directly. They give real multi-core speedups on machines that have the
-//! cores and degrade to plain loops on single-core machines. Model training
-//! (forests, AL committees, baselines) stays sequential.
+//! featurization hot path, the distribution analysis and the Bootstrap AL
+//! committee (tree fitting and vote scoring) use these helpers directly.
+//! They give real multi-core speedups on machines that have the cores and
+//! degrade to plain loops on single-core machines. Forests and the
+//! baselines train sequentially.
 
 use std::num::NonZeroUsize;
 

@@ -200,3 +200,18 @@ fn whole_pipeline_is_deterministic_across_runs() {
     };
     assert_eq!(run(), run());
 }
+
+/// Pins construction output across commits, which two builds by one binary
+/// cannot: the repository bytes below were recorded from the per-node-sort,
+/// enum-node, sequential-committee tree code, and every faster kernel must
+/// reproduce them bit for bit.
+#[test]
+fn construction_output_is_pinned_across_commits() {
+    let bench = computer(DatasetScale::Tiny, 11);
+    let config = MorerConfig { budget: 300, ..MorerConfig::default() };
+    let (morer, _) = Morer::build(bench.initial_problems(), &config);
+    let mut bytes = Vec::new();
+    morer.repository().save_json(&mut bytes).unwrap();
+    assert_eq!(bytes.len(), 59_693);
+    assert_eq!(morer::core::wal::content_hash(&bytes), 0xab6c_0340_b504_63fa);
+}

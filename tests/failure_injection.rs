@@ -120,6 +120,32 @@ fn corrupted_repository_json_is_rejected() {
 }
 
 #[test]
+fn malformed_trees_in_a_repository_are_a_typed_error() {
+    let p = healthy_problem(0);
+    let config = MorerConfig { budget: 40, budget_min: 10, ..MorerConfig::default() };
+    let (morer, _) = Morer::build(vec![&p], &config);
+    let mut bytes = Vec::new();
+    morer.repository().save_json(&mut bytes).unwrap();
+    let json = String::from_utf8(bytes).unwrap();
+    assert!(ModelRepository::load_json(json.as_bytes()).is_ok());
+    // tamper with the first tree's root split: its left child is node 1,
+    // and it tests feature 0 or 1 of the two-feature problem
+    let root = json.find(r#"{"Split":{"feature":"#).expect("a trained forest has a split");
+    let (head, tail) = json.split_at(root);
+    for (from, to, complaint) in [
+        (r#""left":1,"#, r#""left":0,"#, "left child 0"),
+        (r#""right":"#, r#""right":99999"#, "right child 99999"),
+        (r#""feature":"#, r#""feature":7"#, "splits on feature 7"),
+    ] {
+        let tampered = format!("{head}{}", tail.replacen(from, to, 1));
+        match ModelRepository::load_json(tampered.as_bytes()) {
+            Err(MorerError::Parse(message)) => assert!(message.contains(complaint), "{message}"),
+            other => panic!("{to}: expected a parse error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn future_repository_version_fails_typed_not_parse() {
     let future = format!("{{\"version\":{},\"entries\":[]}}", REPOSITORY_FORMAT_VERSION + 1);
     match ModelRepository::load_json(future.as_bytes()) {
