@@ -290,7 +290,7 @@ mod tests {
         assert_eq!(r.method, "morer+bs");
         assert!(r.counts.total() > 0);
         assert!(r.labels_used <= 100);
-        assert!(find(&[r.clone()], "wdc-computer", "morer+bs", BudgetSpec::Labels(100)).is_some());
+        assert!(find(std::slice::from_ref(&r), "wdc-computer", "morer+bs", BudgetSpec::Labels(100)).is_some());
         assert!(find(&[r], "wdc-computer", "morer+bs", BudgetSpec::Labels(200)).is_none());
     }
 

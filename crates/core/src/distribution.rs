@@ -217,7 +217,7 @@ pub fn problem_similarity_with<A: FeatureSample + ?Sized, B: FeatureSample + ?Si
 /// moments) plus a capped row sample for the multivariate C2ST.
 ///
 /// Built once per feature sample in O(t·n log n) and reused across every
-/// pair comparison ([`build_problem_graph_with`]) and every solve
+/// pair comparison ([`build_problem_graph_sketched`]) and every solve
 /// (`ClusterEntry` caches the sketch of its representatives `P_C`).
 #[derive(Debug, Clone)]
 pub struct DistributionSketch {
@@ -410,33 +410,9 @@ fn sample_rows(m: &FeatureMatrix, cap: usize, seed: u64) -> FeatureMatrix {
 /// vertices are problems (indexed positionally), edges weighted by `sim_p`,
 /// pruned below `min_edge_similarity`. Problems are sketched once
 /// (O(problems)) and the O(P²) pair loop runs over the sketches on scoped
-/// threads.
-pub fn build_problem_graph(
-    problems: &[&ErProblem],
-    test: DistributionTest,
-    min_edge_similarity: f64,
-    sample_cap: usize,
-    seed: u64,
-) -> Graph {
-    build_problem_graph_with(
-        problems,
-        &AnalysisOptions::new(test, sample_cap, seed),
-        min_edge_similarity,
-    )
-}
-
-/// [`build_problem_graph`] with explicit [`AnalysisOptions`].
-pub fn build_problem_graph_with(
-    problems: &[&ErProblem],
-    opts: &AnalysisOptions,
-    min_edge_similarity: f64,
-) -> Graph {
-    build_problem_graph_sketched(problems, opts, min_edge_similarity).0
-}
-
-/// [`build_problem_graph_with`] that also returns the per-problem sketches,
-/// so callers that keep integrating problems (the `sel_cov` pipeline) can
-/// reuse them instead of re-sketching on every solve.
+/// threads. The sketches are returned too, so callers that keep
+/// integrating problems (the `sel_cov` pipeline) can reuse them instead of
+/// re-sketching on every solve.
 pub fn build_problem_graph_sketched(
     problems: &[&ErProblem],
     opts: &AnalysisOptions,
@@ -620,7 +596,8 @@ mod tests {
             .map(|i| synthetic_problem(i, if i < 3 { 0.85 } else { 0.40 }, 200))
             .collect();
         let refs: Vec<&ErProblem> = problems.iter().collect();
-        let g = build_problem_graph(&refs, DistributionTest::KolmogorovSmirnov, 0.5, 1000, 7);
+        let opts = AnalysisOptions::new(DistributionTest::KolmogorovSmirnov, 1000, 7);
+        let (g, _) = build_problem_graph_sketched(&refs, &opts, 0.5);
         assert_eq!(g.num_nodes(), 6);
         // within-group edges should exist and be strong
         assert!(g.edge_weight(0, 1).unwrap_or(0.0) > 0.8);

@@ -57,7 +57,7 @@
 //! [`pipeline::Morer::open`] recovers the exact last-committed state by
 //! loading the latest base snapshot and replaying the valid log suffix —
 //! torn or bit-flipped log tails are detected by per-record length prefix
-//! + content hash and truncated, never replayed. The same self-delimiting,
+//! and content hash and truncated, never replayed. The same self-delimiting,
 //! content-hashed framing makes the log *shippable*: [`replication`] holds
 //! the follower-side machinery (segment verification, the one shared
 //! replay path, offset/generation bookkeeping) that lets a replica tail a
@@ -103,8 +103,7 @@ pub mod prelude {
     pub use crate::index::{IndexOverview, IndexStats, SearchIndex};
     pub use crate::pipeline::{BuildReport, IngestReport, Morer};
     pub use crate::replication::{
-        ApplyOutcome, BaseSnapshot, FollowerState, FrameReader, LogSegment, ReplicaApplier,
-        SegmentReport, SegmentStatus,
+        BaseSnapshot, FollowerState, FrameReader, LogSegment, SegmentReport, SegmentStatus,
     };
     pub use crate::repository::{ClusterEntry, ModelRepository};
     pub use crate::searcher::{EntryId, ModelSearcher, SearchHit, SolveOutcome};

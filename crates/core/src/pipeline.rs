@@ -583,13 +583,10 @@ impl Morer {
     /// commit is refused until the state is recovered via [`Morer::open`].
     pub fn add_problems(&mut self, problems: &[&ErProblem]) -> Result<IngestReport, MorerError> {
         if let Some(reason) = &self.wal_poisoned {
-            return Err(MorerError::Io(std::io::Error::new(
-                std::io::ErrorKind::Other,
-                format!(
-                    "write-ahead log poisoned by an earlier failure: {reason}; \
-                     recover the durable state with Morer::open"
-                ),
-            )));
+            return Err(MorerError::Io(std::io::Error::other(format!(
+                "write-ahead log poisoned by an earlier failure: {reason}; \
+                 recover the durable state with Morer::open"
+            ))));
         }
         let expected = self
             .num_features()

@@ -4,13 +4,15 @@
 //! and content-hashed, so a replica can stream them **verbatim** from a
 //! leader and re-verify every byte itself. This module is the
 //! transport-agnostic core of that follower: segment verification
-//! ([`FrameReader`]), record application through the *same* replay path
-//! recovery uses ([`ReplicaApplier`] → `wal::apply_record`), and the
-//! offset/generation bookkeeping of the shipping protocol
-//! ([`FollowerState`]). The HTTP transport (polling `GET /wal` on a
-//! `morer-serve` leader, backoff, resync fetches) lives in `morer-serve`;
-//! everything here is pure bytes-in, state-out — which is what the
-//! fault-injection property tests drive directly.
+//! ([`FrameReader`]), and [`FollowerState`] — record application through
+//! the *same* replay path recovery uses (`wal::apply_record`) plus the
+//! offset/generation bookkeeping of the shipping protocol. The follower
+//! keeps one copy of the repository, as the leader does: `Arc`-shared
+//! entries that its read snapshots point into. The HTTP transport
+//! (polling `GET /wal` on a `morer-serve` leader, backoff, resync
+//! fetches) lives in `morer-serve`; everything here is pure bytes-in,
+//! state-out — which is what the fault-injection property tests drive
+//! directly.
 //!
 //! The wire/offset protocol itself is specified in the [`crate::wal`]
 //! module docs ("Log-shipping wire/offset protocol"). The invariants this
@@ -29,9 +31,9 @@
 //!   follower discards nothing it already applied, but must rebuild from
 //!   the leader's base snapshot before applying anything further.
 
-use std::collections::BTreeSet;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
+use std::sync::Arc;
 
 use crate::error::{MorerError, WAL_FORMAT_VERSION};
 use crate::repository::{ClusterEntry, ModelRepository};
@@ -278,7 +280,7 @@ impl FrameReader {
 
 /// What applying one verified record did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ApplyOutcome {
+enum ApplyOutcome {
     /// The record advanced the replica by one epoch.
     Applied,
     /// `epoch <= applied`: an idempotent re-delivery or compaction
@@ -289,75 +291,6 @@ pub enum ApplyOutcome {
     /// The record's entry ids are inconsistent with the store (nothing was
     /// mutated) — treat like corruption and resync.
     Invalid,
-}
-
-/// The replica's repository state: records applied in epoch order through
-/// the same `apply_record` path crash recovery replays with, so a
-/// follower that has applied epoch E is bit-identical (via `save_json`)
-/// to a leader recovered at epoch E.
-#[derive(Debug)]
-pub struct ReplicaApplier {
-    entries: Vec<ClusterEntry>,
-    epoch: u64,
-    /// Store positions mutated by records applied since the last
-    /// [`ReplicaApplier::take_dirty`] — what an O(dirty) snapshot
-    /// republication must deep-copy (every other position is unchanged
-    /// and can be reused by reference).
-    dirty: BTreeSet<usize>,
-}
-
-impl ReplicaApplier {
-    /// Start from a bootstrap state (usually a leader base snapshot).
-    pub fn new(repository: ModelRepository, epoch: u64) -> Self {
-        Self { entries: repository.entries, epoch, dirty: BTreeSet::new() }
-    }
-
-    /// The last applied epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Apply one verified record (see [`ApplyOutcome`]). Validation runs
-    /// before any mutation: an `Invalid` or `Gap` outcome leaves the
-    /// store exactly as it was.
-    pub fn apply(&mut self, record: CommitRecord) -> ApplyOutcome {
-        if record.epoch <= self.epoch {
-            return ApplyOutcome::Skipped;
-        }
-        if record.epoch != self.epoch + 1 {
-            return ApplyOutcome::Gap;
-        }
-        let epoch = record.epoch;
-        // collect the touched positions before the record is consumed;
-        // only recorded as dirty if the apply actually mutates the store
-        let touched: Vec<usize> = record.entries.iter().map(|e| e.id).collect();
-        match wal::apply_record(&mut self.entries, record) {
-            Ok(()) => {
-                self.epoch = epoch;
-                self.dirty.extend(touched);
-                ApplyOutcome::Applied
-            }
-            Err(()) => ApplyOutcome::Invalid,
-        }
-    }
-
-    /// Drain the positions mutated since the last call (see the `dirty`
-    /// field). Positions may exceed the current store length when a record
-    /// truncated the store after touching it.
-    pub fn take_dirty(&mut self) -> BTreeSet<usize> {
-        std::mem::take(&mut self.dirty)
-    }
-
-    /// The current entry store.
-    pub fn entries(&self) -> &[ClusterEntry] {
-        &self.entries
-    }
-
-    /// A clone of the current state as a [`ModelRepository`] (what the
-    /// serving layer builds read snapshots from).
-    pub fn repository(&self) -> ModelRepository {
-        ModelRepository { entries: self.entries.clone() }
-    }
 }
 
 /// Terminal status of one ingested segment.
@@ -387,12 +320,24 @@ pub struct SegmentReport {
     pub status: SegmentStatus,
 }
 
-/// The complete follower-side protocol state: applier + offset +
-/// generation. One instance per upstream leader; replaced wholesale on
-/// resync ([`FollowerState::from_base`]).
+/// The complete follower-side protocol state: the applied entry store,
+/// its epoch, and the offset/generation the next segment is fetched at.
+/// One instance per upstream leader; replaced wholesale on resync
+/// ([`FollowerState::from_base`]).
+///
+/// Records apply in epoch order through the same `apply_record` path crash
+/// recovery replays with, so a follower that has applied epoch E is
+/// bit-identical (via `save_json`) to a leader recovered at epoch E. The
+/// store holds `Arc`-shared entries, like the leader's: an applied record
+/// replaces the pointer at each position it lists, and every other
+/// position keeps its `Arc`, so a read snapshot built from
+/// [`FollowerState::entries`] shares the untouched entries (and their
+/// warmed sketch caches) with the store and with the previous snapshot.
 #[derive(Debug)]
 pub struct FollowerState {
-    applier: ReplicaApplier,
+    entries: Vec<Arc<ClusterEntry>>,
+    /// The last applied epoch.
+    epoch: u64,
     /// Leader log offset of the first byte *not yet applied* — where the
     /// next segment must start.
     offset: u64,
@@ -404,11 +349,7 @@ impl FollowerState {
     /// A follower that has never synced: empty repository, epoch 0,
     /// tailing generation 0 from the first frame.
     pub fn empty() -> Self {
-        Self {
-            applier: ReplicaApplier::new(ModelRepository::default(), 0),
-            offset: HEADER_LEN,
-            generation: 0,
-        }
+        Self { entries: Vec::new(), epoch: 0, offset: HEADER_LEN, generation: 0 }
     }
 
     /// Bootstrap (or resync) from a leader base snapshot: the state is
@@ -417,7 +358,8 @@ impl FollowerState {
     pub fn from_base(text: &str) -> Result<Self, MorerError> {
         let base = decode_base_snapshot(text)?;
         Ok(Self {
-            applier: ReplicaApplier::new(base.repository, base.epoch),
+            entries: base.repository.entries.into_iter().map(Arc::new).collect(),
+            epoch: base.epoch,
             offset: HEADER_LEN,
             generation: base.generation,
         })
@@ -435,24 +377,40 @@ impl FollowerState {
 
     /// The last applied epoch.
     pub fn epoch(&self) -> u64 {
-        self.applier.epoch()
+        self.epoch
     }
 
-    /// A clone of the applied state (for snapshot publication).
+    /// A clone of the applied state as a [`ModelRepository`] (for
+    /// persistence or bit-identity assertions).
     pub fn repository(&self) -> ModelRepository {
-        self.applier.repository()
+        ModelRepository { entries: self.entries.iter().map(|e| (**e).clone()).collect() }
     }
 
-    /// The applied entry store.
-    pub fn entries(&self) -> &[ClusterEntry] {
-        self.applier.entries()
+    /// The applied entry store — what a read snapshot is built from
+    /// (`ModelSearcher::from_shared(state.entries().to_vec(), ..)` copies
+    /// pointers only).
+    pub fn entries(&self) -> &[Arc<ClusterEntry>] {
+        &self.entries
     }
 
-    /// Drain the store positions mutated since the last call
-    /// ([`ReplicaApplier::take_dirty`]) — the O(dirty) set a snapshot
-    /// republication must deep-copy.
-    pub fn take_dirty(&mut self) -> BTreeSet<usize> {
-        self.applier.take_dirty()
+    /// Apply one verified record (see [`ApplyOutcome`]). Validation runs
+    /// before any mutation: an `Invalid` or `Gap` outcome leaves the
+    /// store exactly as it was.
+    fn apply(&mut self, record: CommitRecord) -> ApplyOutcome {
+        if record.epoch <= self.epoch {
+            return ApplyOutcome::Skipped;
+        }
+        if record.epoch != self.epoch + 1 {
+            return ApplyOutcome::Gap;
+        }
+        let epoch = record.epoch;
+        match wal::apply_record(&mut self.entries, record) {
+            Ok(()) => {
+                self.epoch = epoch;
+                ApplyOutcome::Applied
+            }
+            Err(()) => ApplyOutcome::Invalid,
+        }
     }
 
     /// Ingest one shipped segment that starts at exactly
@@ -480,7 +438,7 @@ impl FollowerState {
                     report.status = SegmentStatus::Corrupt;
                     return report;
                 }
-                Ok(Some((record, frame_len))) => match self.applier.apply(record) {
+                Ok(Some((record, frame_len))) => match self.apply(record) {
                     ApplyOutcome::Applied => {
                         self.offset += frame_len;
                         report.applied += 1;
@@ -576,7 +534,7 @@ mod tests {
 
     #[test]
     fn applier_applies_skips_and_gaps_like_recovery() {
-        let mut applier = ReplicaApplier::new(ModelRepository::default(), 0);
+        let mut applier = FollowerState::empty();
         assert_eq!(applier.apply(record(1, &[0], 1)), ApplyOutcome::Applied);
         assert_eq!(applier.apply(record(1, &[0], 1)), ApplyOutcome::Skipped);
         assert_eq!(applier.apply(record(3, &[1], 2)), ApplyOutcome::Gap);
@@ -586,23 +544,6 @@ mod tests {
         assert_eq!(applier.entries().len(), 1);
         assert_eq!(applier.apply(record(2, &[1], 2)), ApplyOutcome::Applied);
         assert_eq!(applier.epoch(), 2);
-    }
-
-    #[test]
-    fn applier_tracks_dirty_positions_per_drain() {
-        let mut applier = ReplicaApplier::new(ModelRepository::default(), 0);
-        assert_eq!(applier.apply(record(1, &[0, 1], 2)), ApplyOutcome::Applied);
-        assert_eq!(applier.apply(record(2, &[1, 2], 3)), ApplyOutcome::Applied);
-        let dirty: Vec<usize> = applier.take_dirty().into_iter().collect();
-        assert_eq!(dirty, vec![0, 1, 2]);
-        // skipped / gapped / invalid records contribute nothing
-        assert_eq!(applier.apply(record(2, &[0], 3)), ApplyOutcome::Skipped);
-        assert_eq!(applier.apply(record(9, &[0], 3)), ApplyOutcome::Gap);
-        assert_eq!(applier.apply(record(3, &[7], 8)), ApplyOutcome::Invalid);
-        assert!(applier.take_dirty().is_empty());
-        // the drain resets: only post-drain mutations accumulate
-        assert_eq!(applier.apply(record(3, &[0], 3)), ApplyOutcome::Applied);
-        assert_eq!(applier.take_dirty().into_iter().collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]

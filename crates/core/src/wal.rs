@@ -477,7 +477,9 @@ impl Wal {
         // past the last valid frame
         let truncated_bytes =
             if valid_end < HEADER_LEN { file_len } else { file_len - valid_end };
-        let mut log = OpenOptions::new().create(true).write(true).open(&log_path)?;
+        // recovery keeps the valid prefix: never truncate on open
+        let mut log =
+            OpenOptions::new().create(true).write(true).truncate(false).open(&log_path)?;
         if valid_end < HEADER_LEN {
             // empty or torn-header log: start it fresh
             log.set_len(0)?;
@@ -674,10 +676,11 @@ pub(crate) fn decode_record(payload: &[u8]) -> Option<CommitRecord> {
 /// replaces the entry at its id or appends at the store's end, and the
 /// store is truncated to the recorded post-commit length. Validation runs
 /// first so an inconsistent record mutates nothing. Shared by recovery
-/// ([`Wal::open`]) and the log-shipping follower ([`crate::replication`]) —
-/// the one replay path.
-pub(crate) fn apply_record(
-    entries: &mut Vec<ClusterEntry>,
+/// ([`Wal::open`], over owned entries) and the log-shipping follower
+/// ([`crate::replication`], over `Arc`-shared entries: an applied record
+/// replaces the pointer at each touched position) — the one replay path.
+pub(crate) fn apply_record<E: From<ClusterEntry>>(
+    entries: &mut Vec<E>,
     record: CommitRecord,
 ) -> Result<(), ()> {
     let mut len = entries.len();
@@ -695,9 +698,9 @@ pub(crate) fn apply_record(
     for entry in record.entries {
         let id = entry.id;
         if id < entries.len() {
-            entries[id] = entry;
+            entries[id] = entry.into();
         } else {
-            entries.push(entry);
+            entries.push(entry.into());
         }
     }
     entries.truncate(record.num_entries);
@@ -766,7 +769,7 @@ fn read_base(dir: &Path) -> Result<(ModelRepository, u64, u64), MorerError> {
 /// over the wire.
 pub(crate) fn decode_base(text: &str) -> Result<(ModelRepository, u64, u64), MorerError> {
     let corrupt = |reason: String| MorerError::LogCorrupt { offset: 0, reason };
-    let envelope = serde_json::from_str_value(&text)
+    let envelope = serde_json::from_str_value(text)
         .map_err(|e| corrupt(format!("base snapshot is not valid JSON: {e}")))?;
     let version = read_u64(&envelope, "wal_version")
         .ok_or_else(|| corrupt("base snapshot lacks a wal_version header".to_owned()))?;

@@ -151,7 +151,7 @@ pub(crate) fn build_benchmark(
     let spec = scheme.profile_spec().require_tokens(blocking.attribute);
     let profiles = profile_dataset(&dataset, spec);
 
-    let mut raw: Vec<((usize, usize), Vec<(u32, u32)>)> = Vec::new();
+    let mut raw = Vec::new();
     for k in 0..n {
         if include_self_problems {
             let pairs =

@@ -93,16 +93,16 @@ pub fn connected_components_above(g: &Graph, min_weight: f64) -> Vec<usize> {
 fn compress_labels(uf: &mut UnionFind, n: usize) -> Vec<usize> {
     let mut label = vec![usize::MAX; n];
     let mut next = 0usize;
-    let mut out = vec![0usize; n];
-    for node in 0..n {
-        let root = uf.find(node);
-        if label[root] == usize::MAX {
-            label[root] = next;
-            next += 1;
-        }
-        out[node] = label[root];
-    }
-    out
+    (0..n)
+        .map(|node| {
+            let root = uf.find(node);
+            if label[root] == usize::MAX {
+                label[root] = next;
+                next += 1;
+            }
+            label[root]
+        })
+        .collect()
 }
 
 /// Group node ids by component id: `result[c]` lists the members of

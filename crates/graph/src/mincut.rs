@@ -80,11 +80,9 @@ pub fn stoer_wagner(g: &Graph) -> Option<MinCut> {
         // contract t into s
         let t_members = std::mem::take(&mut merged[t]);
         merged[s].extend(t_members);
-        for u in 0..n {
-            if u != s && u != t {
-                w[s][u] += w[t][u];
-                w[u][s] = w[s][u];
-            }
+        for u in (0..n).filter(|&u| u != s && u != t) {
+            w[s][u] += w[t][u];
+            w[u][s] = w[s][u];
         }
         active.retain(|&u| u != t);
     }

@@ -89,14 +89,6 @@ pub struct ServeConfig {
     /// (0 disables automatic compaction). Only consulted when `wal_dir`
     /// is set.
     pub compact_every: u64,
-    /// Group commit: when several `/ingest` micro-batches are queued, the
-    /// writer commits them back to back with deferred appends and shares
-    /// **one** `fdatasync` across the group — replies are still only sent
-    /// after that sync, so the fsync-acknowledgement contract is
-    /// unchanged while the per-commit sync cost is amortized. Only
-    /// effective with a write-ahead log under
-    /// [`Durability::Fsync`].
-    pub group_commit: bool,
     /// How often the writer probes a poisoned write-ahead log for repair
     /// ([`morer_core::pipeline::Morer::repair_wal`]) after a transient
     /// commit failure. While poisoned, `/ingest` answers errors and
@@ -129,7 +121,6 @@ impl Default for ServeConfig {
             wal_dir: None,
             durability: Durability::Fsync,
             compact_every: 1024,
-            group_commit: true,
             writer_retry: Duration::from_secs(1),
             slow_request_micros: 100_000,
             trace_events: 512,
@@ -183,9 +174,6 @@ mod tests {
         assert!(c.wal_dir.is_none());
         assert_eq!(c.durability, Durability::Fsync);
         assert!(c.compact_every > 0);
-        // group commit keeps the fsync-acknowledgement contract while
-        // amortizing the sync, so it is on by default
-        assert!(c.group_commit);
         // repair probes are paced, not spun
         assert!(c.writer_retry >= Duration::from_millis(100));
         // observability defaults: a 100 ms slow threshold and a ring big

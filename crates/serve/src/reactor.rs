@@ -674,6 +674,11 @@ impl Reactor {
             Ok(ParseStatus::Ready { request, consumed }) => {
                 let conn = self.slab.conns[slot].as_mut().expect("live in advance_idle");
                 conn.buf.drain(..consumed);
+                if conn.buf.is_empty() {
+                    // release a large request body's capacity rather than
+                    // hold it for the connection's lifetime
+                    conn.buf = Vec::new();
+                }
                 self.on_request(slot, request);
                 true
             }
@@ -796,10 +801,17 @@ impl Reactor {
         self.queue_raw(slot, bytes, keep_alive, drain);
     }
 
-    /// Queue pre-encoded response bytes and transition to `Flush`.
+    /// Queue pre-encoded response bytes and transition to `Flush`. The
+    /// bytes move into an empty out buffer (only a still-pending `100
+    /// Continue` is appended to).
     fn queue_raw(&mut self, slot: usize, bytes: Vec<u8>, keep_alive: bool, drain: bool) {
         let Some(conn) = self.slab.conns[slot].as_mut() else { return };
-        conn.out.extend_from_slice(&bytes);
+        if conn.out_pos >= conn.out.len() {
+            conn.out = bytes;
+            conn.out_pos = 0;
+        } else {
+            conn.out.extend_from_slice(&bytes);
+        }
         conn.lifecycle = Lifecycle::Flush {
             then: if drain {
                 After::Drain
@@ -821,7 +833,9 @@ impl Reactor {
             };
             loop {
                 if conn.out_pos >= conn.out.len() {
-                    conn.out.clear();
+                    // release the buffer: a keep-alive connection must not
+                    // hold its largest response until it closes
+                    conn.out = Vec::new();
                     conn.out_pos = 0;
                     break true;
                 }

@@ -13,11 +13,11 @@
 //!   verified prefix through [`FollowerState::ingest_segment`]. Each
 //!   applied batch publishes a fresh epoch-pinned
 //!   `Arc<ModelSearcher>` snapshot — readers never see torn state, only
-//!   whole committed epochs. Publication is O(dirty): untouched entries
-//!   keep their published `Arc` (warmed sketches and search-index
-//!   signatures included), only positions the batch's records listed are
-//!   re-copied and re-sketched, and the search index carries over through
-//!   [`ModelSearcher::adopt_index`].
+//!   whole committed epochs. The follower keeps one copy of the
+//!   repository: its store and every snapshot share the same
+//!   `Arc<ClusterEntry>`s, so publication copies pointers, only the
+//!   entries an applied record replaced are sketched anew, and the search
+//!   index carries over through [`ModelSearcher::adopt_index`].
 //! * **Bootstrap / resync.** On first contact, on a `409` (stale
 //!   generation / offset beyond the log — the leader compacted mid-tail or
 //!   restarted after losing a suffix), or on an epoch gap, the follower
@@ -43,9 +43,10 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
 use crate::client::{Connection, RawResponse};
+use crate::server::Published;
 use morer_core::config::MorerConfig;
 use morer_core::replication::{FollowerState, SegmentStatus};
-use morer_core::repository::{ClusterEntry, ModelRepository};
+use morer_core::repository::ModelRepository;
 use morer_core::searcher::ModelSearcher;
 
 /// Header carrying the leader's compaction generation on `/wal` responses.
@@ -133,17 +134,11 @@ pub struct ReplicaStatus {
     pub corrupt_segments: u64,
 }
 
-/// One published read epoch (same swap-whole discipline as the leader
-/// server: epoch and snapshot move together under one lock).
-struct PublishedSnapshot {
-    epoch: u64,
-    searcher: Arc<ModelSearcher>,
-}
-
 /// State shared between the tail thread, the [`Replica`] handle and (when
 /// serving) the follower server's request handlers.
 pub(crate) struct ReplicaCore {
-    published: Mutex<PublishedSnapshot>,
+    /// The read snapshot slot; a follower server reads this same slot.
+    pub(crate) published: Arc<Mutex<Published>>,
     status: Mutex<StatusInner>,
     leader: Mutex<String>,
     shutdown: AtomicBool,
@@ -151,7 +146,6 @@ pub(crate) struct ReplicaCore {
 
 struct StatusInner {
     state: &'static str,
-    epoch: u64,
     leader_epoch: u64,
     last_contact: Option<Instant>,
     reconnects: u64,
@@ -161,18 +155,39 @@ struct StatusInner {
 }
 
 impl ReplicaCore {
-    pub(crate) fn published_pair(&self) -> (u64, Arc<ModelSearcher>) {
-        let p = self.published.lock().expect("replica snapshot poisoned");
-        (p.epoch, Arc::clone(&p.searcher))
+    /// A core serving an empty repository at epoch 0 until the first
+    /// bootstrap publishes.
+    fn new(config: &ReplicaConfig) -> Self {
+        let empty = ModelSearcher::new(Vec::new(), config.morer.analysis_options());
+        Self {
+            published: Arc::new(Mutex::new(Published { epoch: 0, searcher: Arc::new(empty) })),
+            status: Mutex::new(StatusInner {
+                state: "syncing",
+                leader_epoch: 0,
+                last_contact: None,
+                reconnects: 0,
+                resyncs: 0,
+                frames_applied: 0,
+                corrupt_segments: 0,
+            }),
+            leader: Mutex::new(config.leader.clone()),
+            shutdown: AtomicBool::new(false),
+        }
+    }
+
+    /// Clone the current `(epoch, snapshot)` pair atomically.
+    fn published(&self) -> Published {
+        self.published.lock().expect("published slot poisoned").clone()
     }
 
     pub(crate) fn status(&self) -> ReplicaStatus {
+        let epoch = self.published().epoch;
         let s = self.status.lock().expect("replica status poisoned");
         ReplicaStatus {
             state: s.state.to_owned(),
-            epoch: s.epoch,
+            epoch,
             leader_epoch: s.leader_epoch,
-            lag_epochs: s.leader_epoch.saturating_sub(s.epoch),
+            lag_epochs: s.leader_epoch.saturating_sub(epoch),
             last_contact_ms: s
                 .last_contact
                 .map(|t| u64::try_from(t.elapsed().as_millis()).unwrap_or(u64::MAX)),
@@ -198,23 +213,7 @@ impl Replica {
     /// publishes read snapshots as it catches up; before first contact it
     /// serves an empty repository at epoch 0.
     pub fn start(config: ReplicaConfig) -> Self {
-        let empty =
-            Arc::new(ModelSearcher::new(Vec::new(), config.morer.analysis_options()));
-        let core = Arc::new(ReplicaCore {
-            published: Mutex::new(PublishedSnapshot { epoch: 0, searcher: empty }),
-            status: Mutex::new(StatusInner {
-                state: "syncing",
-                epoch: 0,
-                leader_epoch: 0,
-                last_contact: None,
-                reconnects: 0,
-                resyncs: 0,
-                frames_applied: 0,
-                corrupt_segments: 0,
-            }),
-            leader: Mutex::new(config.leader.clone()),
-            shutdown: AtomicBool::new(false),
-        });
+        let core = Arc::new(ReplicaCore::new(&config));
         let tail = {
             let core = Arc::clone(&core);
             std::thread::Builder::new()
@@ -227,12 +226,12 @@ impl Replica {
 
     /// Clone the current epoch-pinned read snapshot.
     pub fn snapshot(&self) -> Arc<ModelSearcher> {
-        self.core.published_pair().1
+        self.core.published().searcher
     }
 
     /// The last epoch fully applied and published.
     pub fn epoch(&self) -> u64 {
-        self.core.published_pair().0
+        self.core.published().epoch
     }
 
     /// A clone of the applied repository state (for persistence or
@@ -382,7 +381,7 @@ fn bootstrap(
             std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
         })?
     };
-    publish_full(core, config, &fresh, "streaming");
+    publish(core, config, &fresh);
     *state = Some(fresh);
     Ok(Step::Applied)
 }
@@ -423,7 +422,7 @@ fn poll_segment(
         let mut s = core.status.lock().expect("replica status poisoned");
         s.frames_applied += report.applied;
         drop(s);
-        publish(core, config, state, "streaming");
+        publish(core, config, state);
     }
     match report.status {
         SegmentStatus::Clean | SegmentStatus::TornTail => {
@@ -439,81 +438,24 @@ fn poll_segment(
     }
 }
 
-/// Publish the follower's applied state as a fresh epoch-pinned snapshot,
-/// reusing the previously published searcher where the applied batch left
-/// entries untouched: a position outside [`FollowerState::take_dirty`]
-/// keeps its published `Arc<ClusterEntry>` — warmed sketch cache and index
-/// signature included — while dirty/new positions are deep-copied from the
-/// store (they arrive cache-empty from record deserialization, so their
-/// sketches and signatures rebuild exactly once). The search index is
-/// adopted from the previous lineage and validated per entry by `Arc`
-/// identity, so each applied batch costs O(dirty) sketch/signature work
-/// plus O(entries) pointer clones — the same bound as the leader's own
-/// snapshot publication.
-///
-/// Reuse is sound because the published snapshot is always derived from
-/// this `state` lineage (wholesale replacements go through
-/// [`publish_full`]) and [`morer_core::wal::apply_record` semantics]
-/// guarantee every mutated-or-recreated position appears in the applied
-/// records' entry ids — positions it did not list are byte-identical to
-/// the previous publication (debug-asserted below).
-fn publish(
-    core: &ReplicaCore,
-    config: &ReplicaConfig,
-    state: &mut FollowerState,
-    phase: &'static str,
-) {
-    let dirty = state.take_dirty();
-    let options = config.morer.analysis_options();
-    let (_, prev) = core.published_pair();
-    let reusable = *prev.options() == options;
-    let prev_entries = prev.entries();
-    let shared: Vec<Arc<ClusterEntry>> = state
-        .entries()
-        .iter()
-        .enumerate()
-        .map(|(i, e)| {
-            if reusable && !dirty.contains(&i) {
-                if let Some(p) = prev_entries.get(i) {
-                    debug_assert!(**p == *e, "reused entry {i} drifted from the store");
-                    return Arc::clone(p);
-                }
-            }
-            Arc::new(e.clone())
-        })
-        .collect();
-    let mut searcher = ModelSearcher::from_shared(shared, options);
+/// Publish the follower's applied state as a fresh epoch-pinned snapshot.
+/// The snapshot points at the store's own entries, so untouched entries
+/// keep their warmed sketch caches; the search index is adopted from the
+/// previous snapshot and revalidated per entry by `Arc` identity, so only
+/// the entries an applied record replaced are re-signed. After a
+/// bootstrap or resync every entry is new and the index is rebuilt, while
+/// its query counters carry on.
+fn publish(core: &ReplicaCore, config: &ReplicaConfig, state: &FollowerState) {
+    let prev = core.published().searcher;
+    let mut searcher =
+        ModelSearcher::from_shared(state.entries().to_vec(), config.morer.analysis_options());
     searcher.adopt_index(&prev);
     searcher.warm();
-    finish_publish(core, Arc::new(searcher), state, phase);
-}
-
-/// Publish after a wholesale state replacement (bootstrap / resync): the
-/// previous snapshot may describe a different history, so nothing is
-/// reused — the searcher is rebuilt and warmed from a full store clone.
-fn publish_full(
-    core: &ReplicaCore,
-    config: &ReplicaConfig,
-    state: &FollowerState,
-    phase: &'static str,
-) {
-    let searcher =
-        Arc::new(ModelSearcher::from_repository(state.repository(), &config.morer));
-    finish_publish(core, searcher, state, phase);
-}
-
-fn finish_publish(
-    core: &ReplicaCore,
-    searcher: Arc<ModelSearcher>,
-    state: &FollowerState,
-    phase: &'static str,
-) {
-    *core.published.lock().expect("replica snapshot poisoned") =
-        PublishedSnapshot { epoch: state.epoch(), searcher };
+    *core.published.lock().expect("published slot poisoned") =
+        Published { epoch: state.epoch(), searcher: Arc::new(searcher) };
     let mut s = core.status.lock().expect("replica status poisoned");
-    s.epoch = state.epoch();
     s.leader_epoch = s.leader_epoch.max(state.epoch());
-    s.state = phase;
+    s.state = "streaming";
 }
 
 /// Record a successful leader exchange: contact time plus the leader's
@@ -561,6 +503,66 @@ fn idle_sleep(core: &ReplicaCore, total: Duration) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use morer_core::replication::read_log_segment;
+    use morer_core::testutil::{entry_with_mu, problem_with_mu};
+    use morer_core::wal::{CommitRecord, Wal, WalOptions, BASE_FILE, HEADER_LEN};
+
+    #[test]
+    fn publication_shares_untouched_entries_with_the_store_and_previous_snapshot() {
+        let dir = std::env::temp_dir()
+            .join(format!("morer_replica_publish_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let repo = ModelRepository {
+            entries: (0..5).map(|i| entry_with_mu(i, 0.2 + 0.15 * i as f64)).collect(),
+        };
+        let mut wal = Wal::create(&dir, WalOptions::default(), &repo, 0).unwrap();
+        let k = 2;
+        wal.append(&CommitRecord {
+            epoch: 1,
+            num_entries: 5,
+            entries: vec![entry_with_mu(k, 0.9)],
+            report: None,
+        })
+        .unwrap();
+        let base = std::fs::read_to_string(dir.join(BASE_FILE)).unwrap();
+        let segment = read_log_segment(&dir, HEADER_LEN, usize::MAX).unwrap();
+
+        let config = ReplicaConfig::default();
+        let core = ReplicaCore::new(&config);
+        let mut state = FollowerState::from_base(&base).unwrap();
+        publish(&core, &config, &state);
+        let before = core.published().searcher;
+        before.search(&problem_with_mu(0, 0.5)).unwrap();
+
+        // a record touching entry k replaces exactly that pointer
+        assert_eq!(state.ingest_segment(HEADER_LEN, &segment.bytes).applied, 1);
+        publish(&core, &config, &state);
+        let Published { epoch, searcher: after } = core.published();
+        assert_eq!(epoch, 1);
+        assert_eq!(after.entries().len(), 5);
+        for (i, entry) in after.entries().iter().enumerate() {
+            assert!(Arc::ptr_eq(entry, &state.entries()[i]), "entry {i} is not the store's");
+            assert_eq!(
+                Arc::ptr_eq(entry, &before.entries()[i]),
+                i != k,
+                "entry {i}: only the touched entry may be new"
+            );
+        }
+        let queries = after.index_overview().unwrap().queries;
+        assert!(queries >= 1);
+
+        // a resync replaces every entry; the index lineage's counters carry on
+        let state = FollowerState::from_base(&base).unwrap();
+        publish(&core, &config, &state);
+        let resynced = core.published().searcher;
+        for (i, entry) in resynced.entries().iter().enumerate() {
+            assert!(Arc::ptr_eq(entry, &state.entries()[i]));
+            assert!(after.entries().iter().all(|old| !Arc::ptr_eq(entry, old)));
+        }
+        assert_eq!(resynced.index_overview().unwrap().queries, queries);
+        assert_eq!(core.status().epoch, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     #[test]
     fn status_snapshot_reports_lag_and_defaults() {

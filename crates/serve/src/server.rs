@@ -22,11 +22,10 @@
 //!   [`Morer::add_problems`] recluster/retrain commit. Each requester gets
 //!   the combined [`IngestReport`] of the commit its problems were part of.
 //! * With a write-ahead log under fsync durability, the writer **group
-//!   commits** ([`ServeConfig::group_commit`]): micro-batches that queued
-//!   up while a commit was running are committed back to back with
-//!   deferred appends, then one `fdatasync` covers the whole group and
-//!   only then are the replies sent — same acknowledgement contract, a
-//!   fraction of the syncs.
+//!   commits**: micro-batches that queued up while a commit was running
+//!   are committed back to back with deferred appends, then one
+//!   `fdatasync` covers the whole group and only then are the replies
+//!   sent — same acknowledgement contract, a fraction of the syncs.
 //! * A *transient* log failure (disk full, transient I/O error) does not
 //!   kill the writer anymore: the pipeline poisons itself, `/ingest`
 //!   answers errors, `/healthz` reports `degraded`, and the writer probes
@@ -113,20 +112,21 @@ pub(crate) const TRACE_HEADER: &str = "x-morer-trace-id";
 
 /// One published read epoch: the epoch counter and the snapshot that
 /// serves it, swapped together under one lock so an observer can never
-/// pair epoch N with epoch N+1's entries.
+/// pair epoch N with epoch N+1's entries. The leader's writer and a
+/// replica's tail thread publish into this one slot type.
 #[derive(Clone)]
-struct Published {
-    epoch: u64,
-    searcher: Arc<ModelSearcher>,
+pub(crate) struct Published {
+    pub(crate) epoch: u64,
+    pub(crate) searcher: Arc<ModelSearcher>,
 }
 
 /// State shared by the reactor and compute threads, the writer and the
 /// handle.
 pub(crate) struct ServerState {
     /// The epoch-pinned read snapshot (plus its epoch), swapped — never
-    /// mutated — per commit. In replica mode this slot is bypassed: reads
-    /// come from the replica's own published snapshot.
-    published: Mutex<Published>,
+    /// mutated — per commit by the writer, or per applied batch by the
+    /// replica in replica mode (the slot is the replica's own).
+    published: Arc<Mutex<Published>>,
     /// Per-endpoint request counters and connection gauges.
     pub(crate) metrics: MetricsRegistry,
     /// Cooperative shutdown flag.
@@ -145,8 +145,8 @@ pub(crate) struct ServerState {
     /// (`GET /wal`, `GET /wal/base`); `None` without durability and in
     /// replica mode.
     wal_dir: Option<PathBuf>,
-    /// Set in replica mode: reads are served from the replica's published
-    /// snapshot, `/ingest` answers `503`, `/healthz` reports the
+    /// Set in replica mode (the replica publishes into `published`):
+    /// `/ingest` answers `503`, `/healthz` reports the
     /// [`crate::replica::ReplicaStatus`].
     replica: Option<Arc<ReplicaCore>>,
     /// The connection core's label ([`crate::ServeBackend::label`];
@@ -168,10 +168,6 @@ impl ServerState {
 
     /// Clone the current `(epoch, snapshot)` pair atomically.
     fn published(&self) -> Published {
-        if let Some(replica) = &self.replica {
-            let (epoch, searcher) = replica.published_pair();
-            return Published { epoch, searcher };
-        }
         self.published.lock().expect("published slot poisoned").clone()
     }
 
@@ -238,7 +234,7 @@ impl MorerServer {
         let snapshot = morer.snapshot();
         snapshot.warm();
         let state = Arc::new(ServerState {
-            published: Mutex::new(Published { epoch: morer.epoch(), searcher: snapshot }),
+            published: Arc::new(Mutex::new(Published { epoch: morer.epoch(), searcher: snapshot })),
             metrics: MetricsRegistry::new(config.slow_request_micros, config.trace_events),
             shutdown: AtomicBool::new(false),
             writer_alive: AtomicBool::new(true),
@@ -254,11 +250,10 @@ impl MorerServer {
         let (ingest_tx, ingest_rx) = mpsc::sync_channel::<IngestJob>(config.ingest_queue.max(1));
         let writer = {
             let state = Arc::clone(&state);
-            let group_commit = config.group_commit;
             let writer_retry = config.writer_retry;
             std::thread::Builder::new()
                 .name("morer-serve-writer".into())
-                .spawn(move || writer_loop(morer, ingest_rx, &state, group_commit, writer_retry))?
+                .spawn(move || writer_loop(morer, ingest_rx, &state, writer_retry))?
         };
 
         let core = spawn_core(&listener, &state, &ingest_tx, config);
@@ -287,7 +282,7 @@ impl MorerServer {
     /// is unreachable, during which reads keep serving the last applied
     /// epoch (stale-but-consistent) instead of failing.
     ///
-    /// The durability knobs of `config` (`wal_dir`, `group_commit`, ...)
+    /// The durability knobs of `config` (`wal_dir`, `durability`, ...)
     /// are ignored: a replica's persistence is the leader's log.
     ///
     /// # Errors
@@ -301,8 +296,7 @@ impl MorerServer {
         let addr = listener.local_addr()?;
         let replica_core = replica.core();
         let state = Arc::new(ServerState {
-            // bypassed (published() reads the replica), but kept coherent
-            published: Mutex::new(Published { epoch: replica.epoch(), searcher: replica.snapshot() }),
+            published: Arc::clone(&replica_core.published),
             metrics: MetricsRegistry::new(config.slow_request_micros, config.trace_events),
             shutdown: AtomicBool::new(false),
             writer_alive: AtomicBool::new(true),
@@ -424,14 +418,23 @@ impl Drop for ServerHandle {
     }
 }
 
+/// Flip the write path to degraded, counting the healthy → degraded edge
+/// (`morer_writer_degraded_transitions_total`). Repair flips back via a
+/// plain store; only the downward edge is a counted event.
+fn mark_degraded(state: &ServerState) {
+    if state.writer_alive.swap(false, Ordering::Release) {
+        state.metrics.stages().degraded_transitions.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 /// The single writer: drain the ingest queue, micro-batch everything
 /// queued, commit (through the write-ahead log when one is attached, so
 /// the reply is only sent once the commit record is persisted), publish
 /// the new snapshot, answer the requesters.
 ///
-/// **Group commit** (`group_commit`): each drained micro-batch commits
-/// with a *deferred* append, and as long as more jobs are already queued
-/// (up to [`GROUP_ROUNDS`] rounds) they commit back to back; then a single
+/// **Group commit**: each drained micro-batch commits with a *deferred*
+/// append, and as long as more jobs are already queued (up to
+/// [`GROUP_ROUNDS`] rounds) they commit back to back; then a single
 /// [`Morer::flush_wal`] makes the whole group durable and only then are
 /// the replies sent. Nothing is acknowledged before its bytes are synced.
 ///
@@ -448,23 +451,13 @@ impl Drop for ServerHandle {
 /// whole micro-batch with one typed error, but the pre-partition keeps the
 /// rejection per job, so a well-formed request still commits when it was
 /// batched alongside a bad one.
-/// Flip the write path to degraded, counting the healthy → degraded edge
-/// (`morer_writer_degraded_transitions_total`). Repair flips back via a
-/// plain store; only the downward edge is a counted event.
-fn mark_degraded(state: &ServerState) {
-    if state.writer_alive.swap(false, Ordering::Release) {
-        state.metrics.stages().degraded_transitions.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 fn writer_loop(
     mut morer: Morer,
     rx: Receiver<IngestJob>,
     state: &ServerState,
-    group_commit: bool,
     writer_retry: Duration,
 ) {
-    morer.set_group_commit(group_commit);
+    morer.set_group_commit(true);
     let retry = writer_retry.max(Duration::from_millis(10));
     let mut last_probe: Option<Instant> = None;
     loop {

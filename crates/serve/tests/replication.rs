@@ -11,8 +11,7 @@
 //! * the leader's writer survives a transient disk failure: degraded
 //!   health + refused ingest while poisoned, automatic in-place repair,
 //!   then durable acknowledgements again;
-//! * group commit (the default) keeps every acknowledged ingest
-//!   recoverable.
+//! * group commit keeps every acknowledged ingest recoverable.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -454,15 +453,14 @@ fn transient_disk_failure_degrades_then_recovers_the_writer() {
     assert_eq!(recovered.epoch(), last_epoch);
 }
 
-/// Group-commit satellite: with the (default) shared-sync writer, a burst
-/// of concurrent ingests is fully acknowledged, every acknowledged epoch
-/// is recoverable from the log after shutdown, and the read path converges
-/// on the last acknowledged epoch.
+/// Group commit: with the writer's shared sync, a burst of concurrent
+/// ingests is fully acknowledged, every acknowledged epoch is recoverable
+/// from the log after shutdown, and the read path converges on the last
+/// acknowledged epoch.
 #[test]
 fn group_commit_acknowledgements_survive_shutdown_and_recovery() {
     let dir = scratch_dir("groupack");
     let cfg = serve_config(Some(dir.clone()));
-    assert!(cfg.group_commit, "group commit is the default under test");
     let handle = MorerServer::start(
         Morer::from_repository(ModelRepository::default(), &config()),
         &cfg,
